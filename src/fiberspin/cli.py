@@ -5,6 +5,10 @@ Parameter resolution order is flags > preset > config file > built-in
 defaults; config files are flat `key = value` lines with # comments.
 Numeric output uses 9 significant digits, locale-independent, and is
 byte-identical across repeated invocations, threaded sweeps included.
+`evolve` streams its trace in blocks of 65,536 rows, so the text it
+writes is never held whole in memory; its bytes are those of fmt9 applied
+to every value, and a non-finite value is refused before anything is
+written.
 
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
 3 self-check failure. Every failure writes one line
@@ -14,8 +18,8 @@ Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import math
 import os
 import sys
@@ -97,33 +101,89 @@ def fmt9(x: float) -> str:
     return f"{x:.{digits}f}"
 
 
-def _emit(rows: list[tuple[str, ...]], fmt: str, out: str | None, kv: bool = True) -> None:
+#: rows of a numeric table rendered and written per block
+_BLOCK_ROWS = 65_536
+
+#: fmt9's fixed-point field; every cell of a block template starts as one
+_CELL = "%.*f"
+
+
+def fmt9_block(table: np.ndarray, sep: str) -> str:
+    """Rows of a 2-d float array as LF-terminated lines of sep-joined values.
+
+    Byte-identical to joining fmt9(v) over each row: the digit counts come
+    from numpy and the whole block goes through one `"%.*f"` format with
+    per-value precision. Values fmt9 prints in scientific form are rendered
+    by fmt9 itself; non-finite values raise ValueError.
+    """
+    a = np.asarray(table, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("refusing to format a non-finite number")
+    flat = (a + 0.0).ravel()  # -0.0 + 0.0 is +0.0, which prints unsigned like fmt9's zero
+    mag = np.abs(flat)
+    sci = (mag != 0.0) & ((mag < 1e-8) | (mag >= 1e12))
+    # zeros (and scientific values, whose digits go unused) take log10(1) = 0,
+    # so their precision is fmt9's 8
+    safe = np.where(sci | (mag == 0.0), 1.0, mag)
+    lg = np.log10(safe)
+    # near an exact power of ten numpy's log10 may round to the other side of
+    # the integer than math.log10, which fmt9 uses
+    for i in np.flatnonzero(np.abs(lg - np.rint(lg)) < 1e-9).tolist():
+        lg[i] = math.log10(safe[i])
+    digits = np.clip(8.0 - np.floor(lg), 0.0, 20.0).astype(np.int64)
+    args: list = [None] * (2 * flat.size)
+    args[0::2] = digits.tolist()
+    args[1::2] = flat.tolist()
+    ncols = a.shape[1]
+    row = sep.join([_CELL] * ncols) + "\n"
+    template = row * a.shape[0]
+    if sci.any():
+        cells = np.flatnonzero(sci)
+        # turn each scientific cell's "%.*f" into "%.*s" and hand it fmt9's text
+        starts = (cells // ncols) * len(row) + (cells % ncols) * (len(_CELL) + len(sep))
+        buf = np.frombuffer(template.encode("ascii"), dtype=np.uint8).copy()
+        buf[starts + len(_CELL) - 1] = ord("s")
+        template = buf.tobytes().decode("ascii")
+        for i in cells.tolist():
+            text = fmt9(flat[i])
+            args[2 * i], args[2 * i + 1] = len(text), text
+    return template % tuple(args)
+
+
+def _emit(
+    rows: list[tuple[str, ...] | np.ndarray], fmt: str, out: str | None, kv: bool = True
+) -> None:
     """Render rows and write them to stdout or a file, LF-terminated.
 
-    kv=True renders two-element rows as `key = value` report lines in
-    text mode; kv=False renders every row as space-joined columns.
+    A row is a tuple of strings, or a 2-d float array standing for one row
+    per array row with each value printed as fmt9 would; arrays are written
+    in blocks of _BLOCK_ROWS rows, and every value in them is checked finite
+    before the file is opened or stdout written. kv=True renders two-element
+    rows as `key = value` report lines in text mode; kv=False renders every
+    row as space-joined columns.
     """
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        lines = []
-        for row in rows:
-            if kv and len(row) == 2 and row[0] == "warn":
-                lines.append(f"WARN {row[1]}")
-            elif kv and len(row) == 2:
-                lines.append(f"{row[0]} = {row[1]}")
-            else:
-                lines.append(" ".join(row))
-        text = "\n".join(lines) + "\n"
+    for row in rows:
+        if isinstance(row, np.ndarray) and not np.all(np.isfinite(row)):
+            raise ValueError("refusing to format a non-finite number")
+    sep = "," if fmt == "csv" else " "
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        target = open(out, "w", encoding="utf-8", newline="")
     else:
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
+    with target as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for row in rows:
+            if isinstance(row, np.ndarray):
+                for lo in range(0, len(row), _BLOCK_ROWS):
+                    fh.write(fmt9_block(row[lo : lo + _BLOCK_ROWS], sep))
+            elif fmt == "csv":
+                writer.writerow(row)
+            elif kv and len(row) == 2 and row[0] == "warn":
+                fh.write(f"WARN {row[1]}\n")
+            elif kv and len(row) == 2:
+                fh.write(f"{row[0]} = {row[1]}\n")
+            else:
+                fh.write(" ".join(row) + "\n")
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -247,9 +307,9 @@ def cmd_evolve(args) -> None:
     keys = {"eta": float, "tau_max": float, "step": float}
     cfg = _resolve(args, keys, _EVOLVE_DEFAULTS, None)
     trace = entanglement_trace(cfg["eta"], cfg["tau_max"], cfg["step"])
-    rows = [("tau", "entanglement")]
-    rows.extend((fmt9(t), fmt9(e)) for t, e in zip(trace.taus.tolist(), trace.values.tolist()))
-    _emit(rows, args.format, args.out, kv=False)
+    table = np.column_stack((trace.taus, trace.values))
+    del trace  # frees the trace's own arrays before the table is written
+    _emit([("tau", "entanglement"), table], args.format, args.out, kv=False)
 
 
 def _taustar_etas(args, cfg) -> list[float]:

@@ -47,6 +47,10 @@ SPIN_FLIP = np.array(
 _NORM_TOL = 1e-10
 _DM_TOL = 1e-10
 
+#: most points one trace grid may have: 2**25 float64 values are 256 MiB per
+#: array, so a larger request fails with BadGrid instead of exhausting memory
+MAX_GRID_POINTS = 2**25
+
 
 def concurrence_pure(psi) -> float:
     """Concurrence of a normalized two-qubit pure state."""
@@ -156,14 +160,22 @@ def entanglement_trace(eta: float, tau_max: float, step: float) -> EntanglementT
     """Sample E(tau) from tau = 0 to tau_max (inclusive) in uniform steps.
 
     step must satisfy 0 < step <= 0.1 (coarser grids alias the beat
-    structure) and tau_max >= step. E(0) = 0 since |gg> is a product
-    state.
+    structure) and tau_max >= step. The grid may have at most
+    MAX_GRID_POINTS (2**25) points; a larger one raises BadGrid before
+    anything is allocated. E(0) = 0 since |gg> is a product state.
     """
     if not (math.isfinite(step) and 0.0 < step <= 0.1):
         raise BadGrid(f"step must satisfy 0 < step <= 0.1, got {step!r}")
     if not math.isfinite(tau_max) or tau_max < step:
         raise BadGrid(f"tau_max must be >= step, got {tau_max!r}")
-    n = int(math.floor(tau_max / step + 1e-9)) + 1
+    span = tau_max / step + 1e-9
+    # the grid has floor(span) + 1 points; an infinite span fails here too
+    if not span < MAX_GRID_POINTS:
+        raise BadGrid(
+            f"tau_max / step = {tau_max / step:.6g} asks for more than"
+            f" MAX_GRID_POINTS = {MAX_GRID_POINTS} grid points"
+        )
+    n = int(math.floor(span)) + 1
     values = kernels.ent_trace_grid(eta, 0.0, step, n)
     taus = np.arange(n, dtype=np.float64) * step
     return EntanglementTrace(eta=eta, step=step, taus=taus, values=values)

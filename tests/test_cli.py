@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fiberspin import NetworkParams, coupling, steady_fields
-from fiberspin.cli import fmt9
+from fiberspin import NetworkParams, coupling, entanglement_trace, kernels, steady_fields
+from fiberspin.cli import _emit, fmt9, fmt9_block, main
 
 
 def lines(raw):
@@ -23,6 +25,123 @@ def test_fmt9_formatting():
     assert fmt9(5e-9) == "5.00000000e-09"
     with pytest.raises(ValueError):
         fmt9(math.nan)
+
+
+def _fmt9_lines(table, sep):
+    return "".join(sep.join(fmt9(x) for x in row) + "\n" for row in table.tolist())
+
+
+def _ulps(x, k):
+    """x moved k ulps, towards +inf for k > 0."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.inf if k > 0 else -math.inf))
+    return x
+
+
+#: both scientific cutoffs and their neighbours, signed zeros, exact powers of
+#: ten +-1 ulp, and values whose rounding carries into one more digit
+FMT9_EDGES = [
+    (1e-8, "0.0000000100000000"),
+    (_ulps(1e-8, -1), "1.00000000e-08"),
+    (_ulps(1e-8, 1), "0.0000000100000000"),
+    (-1e-8, "-0.0000000100000000"),
+    (1e12, "1.00000000e+12"),
+    (_ulps(1e12, -1), "1000000000000"),
+    (_ulps(1e12, 1), "1.00000000e+12"),
+    (-_ulps(1e12, -1), "-1000000000000"),
+    (0.0, "0.00000000"),
+    (-0.0, "0.00000000"),
+    (1.0, "1.00000000"),
+    (_ulps(1.0, -1), "1.000000000"),
+    (_ulps(1.0, 1), "1.00000000"),
+    (1000.0, "1000.00000"),
+    (_ulps(1000.0, -1), "1000.00000"),
+    (_ulps(1000.0, 1), "1000.00000"),
+    (1e-5, "0.0000100000000"),
+    (_ulps(1e-5, -1), "0.0000100000000"),
+    (-_ulps(1e-5, 1), "-0.0000100000000"),
+    (9.9999999995, "10.00000000"),
+    (-9.9999999995, "-10.00000000"),
+    (0.99999999995, "1.000000000"),
+    (999999999999.9999, "1000000000000"),
+    (-2.0, "-2.00000000"),
+    (0.151515151515, "0.151515152"),
+    (5e-324, "4.94065646e-324"),
+    (1.7e308, "1.70000000e+308"),
+]
+
+
+def test_fmt9_block_golden():
+    values = np.array([v for v, _ in FMT9_EDGES])
+    assert [fmt9(v) for v, _ in FMT9_EDGES] == [text for _, text in FMT9_EDGES]
+    assert fmt9_block(values[:, None], ",") == _fmt9_lines(values[:, None], ",")
+    pairs = values[: values.size // 2 * 2].reshape(-1, 2)
+    assert fmt9_block(pairs, " ") == _fmt9_lines(pairs, " ")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            fmt9_block(np.array([[1.0, bad]]), ",")
+
+
+_fmt9_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([v for v, _ in FMT9_EDGES]),
+    st.builds(
+        lambda m, e, k: _ulps(m * 10.0**e, k),
+        st.sampled_from([1.0, 9.9999999995, 0.99999999995, 5.0000000005]),
+        st.integers(-10, 13),
+        st.integers(-2, 2),
+    ),
+)
+
+
+@given(st.lists(st.tuples(_fmt9_values, _fmt9_values), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_fmt9_block_matches_fmt9(rows):
+    table = np.array(rows, dtype=np.float64)
+    assert fmt9_block(table, ",") == _fmt9_lines(table, ",")
+    assert fmt9_block(table[:, :1], " ") == _fmt9_lines(table[:, :1], " ")
+
+
+def test_evolve_streams_blocks_byte_identical(cli, tmp_path):
+    # 150,001 rows: two full 65,536-row blocks and a partial third
+    trace = entanglement_trace(0.1, 1500.0, 0.01)
+    table = np.column_stack((trace.taus, trace.values))
+    assert table.shape == (150_001, 2)
+    csv_ref = "tau,entanglement\n" + _fmt9_lines(table, ",")
+    assert csv_ref.splitlines()[2] == "0.0100000000,3.45441892e-14"
+    direct = cli("evolve", "--tau-max", "1500", "--step", "0.01")
+    assert direct.returncode == 0
+    assert direct.stdout.decode("utf-8") == csv_ref
+    out = tmp_path / "trace.txt"
+    routed = cli(
+        "evolve", "--tau-max", "1500", "--step", "0.01", "--format", "text", "--out", str(out)
+    )
+    assert routed.returncode == 0 and routed.stdout == b""
+    assert out.read_text(encoding="utf-8") == "tau entanglement\n" + _fmt9_lines(table, " ")
+
+
+def test_evolve_fails_before_writing(monkeypatch, capsys, tmp_path):
+    def nan_kernel(eta, tau0, step, n):
+        values = np.zeros(n)
+        values[-1] = math.nan
+        return values
+
+    # the trace container already refuses the NaN; the CLI must still exit 1 unwritten
+    monkeypatch.setattr(kernels, "ent_trace_grid", nan_kernel)
+    assert main(["evolve", "--tau-max", "1", "--step", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: usage:")
+
+    # the writer itself refuses a non-finite table before opening --out or writing stdout
+    table = np.zeros((3, 2))
+    table[2, 1] = math.inf
+    out = tmp_path / "partial.csv"
+    for target in (str(out), None):
+        with pytest.raises(ValueError):
+            _emit([("tau", "entanglement"), table], "csv", target, kv=False)
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_steady_sym_preset(cli):
@@ -76,6 +195,11 @@ def test_evolve_rejects_bad_grid(cli):
     r = cli("evolve", "--step", "0.5")
     assert r.returncode == 1
     assert r.stderr.startswith(b"error: bad-grid:")
+    # 10^9 points: refused by the grid cap, not by running out of memory
+    huge = cli("evolve", "--tau-max", "1e7", "--step", "0.01")
+    assert huge.returncode == 1
+    assert huge.stderr.startswith(b"error: bad-grid:")
+    assert huge.stdout == b""
 
 
 def test_taustar_table_and_threads(cli):

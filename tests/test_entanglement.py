@@ -1,6 +1,7 @@
 """Concurrence (pure and mixed routes), entanglement of formation, traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from fiberspin import (
     entanglement_trace,
     eof_from_concurrence,
     evolve_analytic,
+    kernels,
     tau_star,
 )
+from fiberspin.entanglement import MAX_GRID_POINTS
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
@@ -134,6 +137,34 @@ def test_trace_matches_pointwise_evolution():
 def test_trace_grid_guards(kwargs):
     with pytest.raises(BadGrid):
         entanglement_trace(**kwargs)
+
+
+class _KernelReached(Exception):
+    pass
+
+
+def test_trace_grid_cap_refuses_before_allocating(monkeypatch):
+    calls = []
+
+    def kernel(eta, tau0, step, n):
+        calls.append(n)
+        raise _KernelReached
+
+    monkeypatch.setattr(kernels, "ent_trace_grid", kernel)
+    step = 0.0625  # binary-exact, so tau_max / step is an exact count
+    with pytest.raises(_KernelReached):
+        entanglement_trace(0.1, (MAX_GRID_POINTS - 1) * step, step)
+    assert calls == [MAX_GRID_POINTS]
+    tracemalloc.start()
+    try:
+        for tau_max, s in ((MAX_GRID_POINTS * step, step), (1e7, 0.01), (1e300, 1e-300)):
+            with pytest.raises(BadGrid):
+                entanglement_trace(0.1, tau_max, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [MAX_GRID_POINTS]
+    assert peak < 1 << 20
 
 
 def test_trace_container_rejects_ragged_grid():
