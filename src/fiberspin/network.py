@@ -259,7 +259,7 @@ def coupling(p: NetworkParams) -> CouplingResult:
     energies = {}
     for z1 in (1.0, -1.0):
         for z2 in (1.0, -1.0):
-            a, b = solve2(m, (ka * z1, kb * z2))
+            a, b = solve2(m, (ka * z1, kb * z2)).tolist()
             energies[(z1, z2)] = 2.0 * p.chi * (
                 (s.alpha.conjugate() * a).real * z1 + (s.beta.conjugate() * b).real * z2
             )

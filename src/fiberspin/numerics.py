@@ -4,8 +4,19 @@ Everything here is sized for the problem at hand: 2x2 complex solves for
 the intracavity field equations and a 4x4 Hermitian eigensolver for the
 two-qubit Hamiltonian and density matrices. The eigensolver is a cyclic
 complex Jacobi iteration rather than a LAPACK call so that results are
-bit-reproducible across BLAS builds and thread counts; at size 4 it is
-also fast enough that the library never needs anything heavier.
+bit-reproducible across BLAS builds and thread counts.
+
+Both routines check their input as numpy arrays, then compute on plain
+Python complex and float values. At sizes 2 and 4 a numpy scalar
+operation costs far more in dispatch than in arithmetic, and the
+self-check suites call these routines tens of thousands of times. Python
+floats are IEEE doubles and every operation runs in a fixed order, so
+each result still depends only on the input bits.
+
+Both routines rescale by an exact power of two where needed, so entries
+near either end of the float range neither overflow nor go subnormal
+inside the algorithm. Scaling by a power of two commutes with rounding,
+so an input that needs no rescaling gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -33,6 +44,22 @@ _JACOBI_OFF_TOL = 1e-14
 # fixed upper-triangle visit order for the cyclic sweeps
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# band of entry moduli inside which the 2x2 products, the determinant
+# floor SOLVE2_EPS * scale**2 and the quotients stay normal and finite;
+# outside it solve2 rescales first
+_SOLVE2_SAFE_LO = 2.0**-400
+_SOLVE2_SAFE_HI = 2.0**400
+
+
+def _ldexp_complex(z: complex, k: int) -> complex:
+    """z * 2**k, exact unless the result leaves the normal float range."""
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def _exponent(values) -> int:
+    """Binary exponent e with every real and imaginary part below 2**e in magnitude."""
+    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in values))[1]
+
 
 def solve2(m, rhs) -> np.ndarray:
     """Solve a 2x2 complex linear system by Cramer's rule.
@@ -48,22 +75,55 @@ def solve2(m, rhs) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If the shapes are wrong or an entry is not finite.
     SingularSystem
         If |det m| <= 1e-12 * max|m_ij|^2, i.e. the system is singular
         relative to the scale of its entries.
+    OverflowError
+        If a component of the solution exceeds the float range.
     """
     a = np.asarray(m, dtype=np.complex128)
     b = np.asarray(rhs, dtype=np.complex128)
     if a.shape != (2, 2) or b.shape != (2,):
         raise ValueError(f"expected shapes (2,2) and (2,), got {a.shape} and {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    (a00, a01), (a10, a11) = a.tolist()
+    b0, b1 = b.tolist()
+    finite = cmath.isfinite
+    if not (
+        finite(a00) and finite(a01) and finite(a10) and finite(a11) and finite(b0) and finite(b1)
+    ):
         raise ValueError("non-finite entries in linear system")
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    scale = float(np.max(np.abs(a)))
+    try:
+        scale = max(abs(a00), abs(a01), abs(a10), abs(a11))
+        rhs_scale = max(abs(b0), abs(b1))
+    except OverflowError:
+        # a modulus beyond the float range: only the rescaled path can cope
+        scale = rhs_scale = math.inf
+    ea = eb = 0
+    if not (
+        _SOLVE2_SAFE_LO < scale < _SOLVE2_SAFE_HI
+        and (rhs_scale == 0.0 or _SOLVE2_SAFE_LO < rhs_scale < _SOLVE2_SAFE_HI)
+    ):
+        # the largest parts of m*2**-ea and rhs*2**-eb lie in [0.5, 1);
+        # scaling by powers of two commutes with every rounding below, so
+        # the scaled solution times 2**(eb - ea) has the bits a run without
+        # overflow or underflow would give
+        ea = _exponent((a00, a01, a10, a11))
+        eb = _exponent((b0, b1))
+        a00, a01, a10, a11 = (_ldexp_complex(z, -ea) for z in (a00, a01, a10, a11))
+        b0, b1 = _ldexp_complex(b0, -eb), _ldexp_complex(b1, -eb)
+        scale = max(abs(a00), abs(a01), abs(a10), abs(a11))
+    det = a00 * a11 - a01 * a10
     if abs(det) <= SOLVE2_EPS * scale * scale:
-        raise SingularSystem(f"|det| = {abs(det):.3e} <= {SOLVE2_EPS:.0e} * {scale * scale:.3e}")
-    x0 = (b[0] * a[1, 1] - a[0, 1] * b[1]) / det
-    x1 = (a[0, 0] * b[1] - b[0] * a[1, 0]) / det
+        raise SingularSystem(
+            f"|det| = {abs(det):.3e} <= {SOLVE2_EPS:.0e} * {scale * scale:.3e}"
+            + (f" after scaling m by 2**{-ea}" if ea else "")
+        )
+    x0 = (b0 * a11 - a01 * b1) / det
+    x1 = (a00 * b1 - b0 * a10) / det
+    if eb != ea:
+        x0, x1 = _ldexp_complex(x0, eb - ea), _ldexp_complex(x1, eb - ea)
     return np.array([x0, x1], dtype=np.complex128)
 
 
@@ -99,32 +159,38 @@ def eig_hermitian4(h) -> HermEig4:
     function of the input bits. Converges in a handful of sweeps for
     any Hermitian input of this size.
 
-    Raises NotHermitian if the input fails the Hermiticity check.
+    The sweeps run on the matrix scaled by 2**-e, with e the binary
+    exponent of its largest real or imaginary part, so the Frobenius norm
+    that sets the stopping tolerance can neither overflow nor underflow;
+    the eigenvalues are scaled back by 2**e.
+
+    Raises NotHermitian if the input fails the Hermiticity check, and
+    OverflowError if an eigenvalue exceeds the float range.
     """
-    a = _check_hermitian(h)
+    rows = _check_hermitian(h).tolist()
+    if not any(z for row in rows for z in row):
+        return HermEig4(values=np.zeros(4), vectors=np.eye(4, dtype=np.complex128))
+    e = _exponent(z for row in rows for z in row)
+    rows = [[_ldexp_complex(z, -e) for z in row] for row in rows]
     # work on the exact Hermitian average so roundoff in the caller
     # cannot leak into the iteration
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(4, dtype=np.complex128)
-    frob = math.sqrt(float(np.sum(np.abs(a) ** 2)))
-    if frob == 0.0:
-        return HermEig4(values=np.zeros(4), vectors=v)
+    a = [[0.5 * (rows[i][j] + rows[j][i].conjugate()) for j in range(4)] for i in range(4)]
+    v = [[complex(i == j) for j in range(4)] for i in range(4)]
+    frob = math.sqrt(sum(abs(z) ** 2 for row in a for z in row))
     tol = _JACOBI_OFF_TOL * frob
 
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(
-            2.0 * sum(abs(a[p, q]) ** 2 for p, q in _PAIRS)
-        )
+        off = math.sqrt(2.0 * sum(abs(a[p][q]) ** 2 for p, q in _PAIRS))
         if off <= tol:
             break
         for p, q in _PAIRS:
-            bpq = a[p, q]
+            bpq = a[p][q]
             ab = abs(bpq)
             if ab == 0.0:
                 continue
             phase = bpq / ab
-            app = a[p, p].real
-            aqq = a[q, q].real
+            app = a[p][p].real
+            aqq = a[q][q].real
             if app == aqq:
                 t = 1.0
             else:
@@ -132,31 +198,36 @@ def eig_hermitian4(h) -> HermEig4:
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(zeta, 1.0))
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
+            sp = s * phase
+            spc = s * phase.conjugate()
             # columns: (Av)[:, p] = c*col_p + s*conj(phase)*col_q
-            colp = a[:, p].copy()
-            colq = a[:, q].copy()
-            a[:, p] = c * colp + s * phase.conjugate() * colq
-            a[:, q] = -s * phase * colp + c * colq
+            for row in a:
+                xp, xq = row[p], row[q]
+                row[p] = c * xp + spc * xq
+                row[q] = -sp * xp + c * xq
             # rows: (v^dagger A)[p, :] = c*row_p + s*phase*row_q
-            rowp = a[p, :].copy()
-            rowq = a[q, :].copy()
-            a[p, :] = c * rowp + s * phase * rowq
-            a[q, :] = -s * phase.conjugate() * rowp + c * rowq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
+            rp, rq = a[p], a[q]
+            for j in range(4):
+                xp, xq = rp[j], rq[j]
+                rp[j] = c * xp + sp * xq
+                rq[j] = -spc * xp + c * xq
+            rp[q] = rq[p] = 0j
+            rp[p] = complex(rp[p].real)
+            rq[q] = complex(rq[q].real)
             # accumulate the same column rotation into the eigenvector basis
-            vp = v[:, p].copy()
-            vq = v[:, q].copy()
-            v[:, p] = c * vp + s * phase.conjugate() * vq
-            v[:, q] = -s * phase * vp + c * vq
+            for row in v:
+                xp, xq = row[p], row[q]
+                row[p] = c * xp + spc * xq
+                row[q] = -sp * xp + c * xq
     else:
         raise FloatingPointError("jacobi iteration did not converge in 30 sweeps")
 
-    values = np.real(np.diag(a)).copy()
-    order = np.argsort(values, kind="stable")
-    return HermEig4(values=values[order], vectors=v[:, order])
+    values = [a[k][k].real for k in range(4)]
+    order = sorted(range(4), key=values.__getitem__)
+    return HermEig4(
+        values=np.array([math.ldexp(values[k], e) for k in order]),
+        vectors=np.array([[row[k] for k in order] for row in v], dtype=np.complex128),
+    )
 
 
 def propagate(h, t: float, psi0) -> np.ndarray:

@@ -9,7 +9,6 @@ can be checked from the command line without a test runner.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,22 +38,40 @@ class SuiteResult:
     detail: str
 
 
+#: (low, high) of the eight uniforms sample_params draws, in draw order:
+#: gamma, delta, chi, |drive|, arg(drive), phi12, phi21, gamma_f
+_SAMPLE_RANGES = (
+    (0.2, 5.0),
+    (-5.0, 5.0),
+    (0.01, 1.0),
+    (0.1, 20.0),
+    (0.0, 2.0 * math.pi),
+    (0.0, 2.0 * math.pi),
+    (0.0, 2.0 * math.pi),
+    (0.0, 0.3),
+)
+
+
 def sample_params(rng: np.random.Generator) -> NetworkParams:
-    """Random network parameters away from the recycling singularity."""
+    """Random network parameters away from the recycling singularity.
+
+    Each attempt draws eight doubles with one rng.random call and maps
+    them as low + (high - low) * u, the same arithmetic on the same
+    stream as eight rng.uniform(low, high) calls, so the draws are
+    bit-identical to drawing them one by one.
+    """
     while True:
-        gamma = float(rng.uniform(0.2, 5.0))
-        delta = float(rng.uniform(-5.0, 5.0))
-        chi = float(rng.uniform(0.01, 1.0))
-        mod = float(rng.uniform(0.1, 20.0))
-        arg = float(rng.uniform(0.0, 2.0 * math.pi))
+        gamma, delta, chi, mod, arg, phi12, phi21, gamma_f = (
+            lo + (hi - lo) * u for (lo, hi), u in zip(_SAMPLE_RANGES, rng.random(8).tolist())
+        )
         p = NetworkParams(
             gamma=gamma,
             delta=delta,
             chi=chi,
             drive=mod * complex(math.cos(arg), math.sin(arg)),
-            phi12=float(rng.uniform(0.0, 2.0 * math.pi)),
-            phi21=float(rng.uniform(0.0, 2.0 * math.pi)),
-            gamma_f=float(rng.uniform(0.0, 0.3)),
+            phi12=phi12,
+            phi21=phi21,
+            gamma_f=gamma_f,
         )
         if abs(denominator(p)) > _SAMPLE_GUARD * (gamma * gamma + delta * delta):
             return p
@@ -75,15 +92,13 @@ def _coupling_mismatch(p: NetworkParams) -> float:
 
 def suite_oracle_identity(rng: np.random.Generator, samples: int = 10_000, tol: float = 1e-10) -> SuiteResult:
     worst = 0.0
-    start = time.perf_counter()
     for _ in range(samples):
         worst = max(worst, _coupling_mismatch(sample_params(rng)))
-    took = time.perf_counter() - start
     return SuiteResult(
         name="oracle-identity",
         passed=worst <= tol,
         detail=f"worst relative defect {worst:.3e} over {samples} draws"
-        f" (tol {tol:.0e}, {took:.2f}s)",
+        f" (tol {tol:.0e})",
     )
 
 

@@ -327,6 +327,7 @@ def test_validate_passes_and_fails(cli):
     assert good.returncode == 0, good.stderr
     rows = lines(good.stdout)
     assert rows and all(row.startswith("PASS ") for row in rows)
+    assert cli("validate", "--seed", "7").stdout == good.stdout
     strict = cli("validate", "--tolerance", "1e-18")
     assert strict.returncode == 3
     assert strict.stderr.startswith(b"error: validation:")
