@@ -51,6 +51,10 @@ _DM_TOL = 1e-10
 #: array, so a larger request fails with BadGrid instead of exhausting memory
 MAX_GRID_POINTS = 2**25
 
+#: E-level slack of tau_star's C^2 bounds, far above the few-ulp difference
+#: between the kernel's E and eof_from_concurrence
+_E_SLACK = 1e-12
+
 
 def concurrence_pure(psi) -> float:
     """Concurrence of a normalized two-qubit pure state."""
@@ -77,7 +81,9 @@ def _check_density_matrix(rho) -> np.ndarray:
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > _DM_TOL:
         raise InvalidDensityMatrix(f"trace = {tr!r} differs from 1 beyond {_DM_TOL:.0e}")
-    return a
+    # the Hermitian part: the same bits for an exactly Hermitian rho, and it
+    # meets eig_hermitian4's relative check whatever the absolute defect was
+    return 0.5 * (a + a.conj().T)
 
 
 def concurrence_mixed(rho) -> float:
@@ -156,14 +162,8 @@ class TauStarResult:
     tolerance: float
 
 
-def entanglement_trace(eta: float, tau_max: float, step: float) -> EntanglementTrace:
-    """Sample E(tau) from tau = 0 to tau_max (inclusive) in uniform steps.
-
-    step must satisfy 0 < step <= 0.1 (coarser grids alias the beat
-    structure) and tau_max >= step. The grid may have at most
-    MAX_GRID_POINTS (2**25) points; a larger one raises BadGrid before
-    anything is allocated. E(0) = 0 since |gg> is a product state.
-    """
+def _grid_points(tau_max: float, step: float) -> int:
+    """Points of the grid 0, step, ..., tau_max, after the grid guards."""
     if not (math.isfinite(step) and 0.0 < step <= 0.1):
         raise BadGrid(f"step must satisfy 0 < step <= 0.1, got {step!r}")
     if not math.isfinite(tau_max) or tau_max < step:
@@ -175,10 +175,44 @@ def entanglement_trace(eta: float, tau_max: float, step: float) -> EntanglementT
             f"tau_max / step = {tau_max / step:.6g} asks for more than"
             f" MAX_GRID_POINTS = {MAX_GRID_POINTS} grid points"
         )
-    n = int(math.floor(span)) + 1
+    return int(math.floor(span)) + 1
+
+
+def entanglement_trace(eta: float, tau_max: float, step: float) -> EntanglementTrace:
+    """Sample E(tau) from tau = 0 to tau_max (inclusive) in uniform steps.
+
+    step must satisfy 0 < step <= 0.1 (coarser grids alias the beat
+    structure) and tau_max >= step. The grid may have at most
+    MAX_GRID_POINTS (2**25) points; a larger one raises BadGrid before
+    anything is allocated. E(0) = 0 since |gg> is a product state.
+    """
+    n = _grid_points(tau_max, step)
     values = kernels.ent_trace_grid(eta, 0.0, step, n)
     taus = np.arange(n, dtype=np.float64) * step
     return EntanglementTrace(eta=eta, step=step, taus=taus, values=values)
+
+
+def _conc2_floor(e: float) -> float:
+    """A C^2 below that of every kernel point whose E reaches e.
+
+    Bisects the monotone map C^2 -> E of eof_from_concurrence for the
+    largest C^2 whose E stays _E_SLACK below e. The kernel computes the
+    same map in another rounding order, within a few ulp of this one and
+    so far inside the slack; as dE/dC^2 >= 1/(2 ln 2), the bound sits at
+    most about 1.4 * _E_SLACK below the exact one. Returns -inf when every
+    point may qualify.
+    """
+    target = e - _E_SLACK
+    if target <= 0.0:
+        return -math.inf
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if eof_from_concurrence(math.sqrt(mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def tau_star(
@@ -187,15 +221,43 @@ def tau_star(
     step: float = 1e-2,
     tolerance: float = 1e-2,
 ) -> TauStarResult:
-    """First scaled time whose E is within tolerance of the window maximum."""
+    """First scaled time whose E is within tolerance of the window maximum.
+
+    On the entanglement_trace grid of (window, step), e_max is the largest
+    E and tau_star the first grid time with E >= e_max - tolerance, both
+    bit-identical to reading them off the full kernels.ent_trace_grid
+    array, which is never built. A first pass keeps the largest C^2 of
+    each kernel block (kernels.conc2_block_max). E grows with C^2, so a
+    point reaches an E level only if its C^2 reaches the level's
+    _conc2_floor: e_max is taken over the blocks whose peak can hold it,
+    and the first hit is looked for, in order, in the blocks whose peak
+    can reach the threshold, each through one kernels.ent_trace_grid call
+    on that block alone. Memory is one chunk of kernel blocks plus one
+    float per block.
+    """
     if not isinstance(tolerance, (int, float)) or not math.isfinite(tolerance) or tolerance < 0.0:
         raise OutOfRange(f"tolerance must be >= 0, got {tolerance!r}")
-    tr = entanglement_trace(eta, window, step)
-    e_max = float(np.max(tr.values))
-    idx = int(np.argmax(tr.values >= e_max - tolerance))
+    n = _grid_points(window, step)
+    peaks = kernels.conc2_block_max(eta, 0.0, step, n)
+
+    def block_e(b: int) -> np.ndarray:
+        lo = b * kernels.BLOCK
+        return kernels.ent_trace_grid(eta, 0.0, step, min(kernels.BLOCK, n - lo), start=lo)
+
+    # E at the largest C^2 bounds e_max from below, so every point that
+    # reaches e_max lies in a block whose peak reaches that E's floor
+    e_max = float(block_e(int(np.argmax(peaks))).max())
+    e_max = max(float(block_e(b).max()) for b in np.flatnonzero(peaks >= _conc2_floor(e_max)).tolist())
+    threshold = e_max - tolerance
+    # the point holding e_max meets the threshold, so some candidate block hits
+    for b in np.flatnonzero(peaks >= _conc2_floor(threshold)).tolist():
+        hits = np.flatnonzero(block_e(b) >= threshold)
+        if hits.size:
+            break
+    idx = b * kernels.BLOCK + int(hits[0])
     return TauStarResult(
         eta=eta,
-        tau_star=float(tr.taus[idx]),
+        tau_star=float(idx * step),
         e_max=e_max,
         window=window,
         tolerance=tolerance,

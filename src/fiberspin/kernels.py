@@ -1,45 +1,65 @@
-"""Entanglement-trace kernel dispatch: compiled extension or numpy fallback.
+"""The entanglement-trace kernel: C^2 and E(tau) on uniform time grids.
 
-The tau-star sweeps evaluate the entanglement of formation on grids of
-about a million points per eta value, which makes this the only hot
-loop in the package. Both backends implement the same fused form of the
-trace. Starting from |gg> the state keeps the exchange symmetry, so its
-four amplitudes reduce to three complex numbers
+The tau-star sweeps look at about a million grid points per eta value,
+which makes this the only hot loop in the package. Starting from |gg> the
+state keeps the exchange symmetry, so its four amplitudes reduce to three
+complex numbers
 
     u(tau) = a1*e^{i*omega*tau} + a4*e^{-i*omega*tau}
     v(tau) = b1*e^{i*omega*tau} + b4*e^{-i*omega*tau}
     w(tau) = e^{-2i*tau}/2
 
 with omega = 2*sqrt(1+eta^2), amplitudes c_ee = u-w, c_gg = u+w,
-c_eg = c_ge = v. The pure-state concurrence is then
-C = 2*|u^2 - w^2 - v^2| and E follows from the binary entropy.
+c_eg = c_ge = v. The pure-state concurrence is C = 2*|u^2 - v^2 - w^2|,
+and with sa = a1+a4, da = a1-a4, sb = b1+b4, db = b1-b4
 
-The compiled backend is selected at import when available; set
-FIBERSPIN_PURE=1 to force the numpy path. Both are deterministic; they
-may differ from each other by only a few ulp of trig rounding.
+    u^2 - v^2 - w^2 = A + B*cos(2*omega*tau) + i*D*sin(2*omega*tau) - e^{-4i*tau}/4,
+    A = (sa^2 - da^2 - sb^2 + db^2)/2 = 2*(a1*a4 - b1*b4),
+    B = (sa^2 + da^2 - sb^2 - db^2)/2 = a1^2 + a4^2 - b1^2 - b4^2,
+    D = sa*da - sb*db = a1^2 - a4^2 - b1^2 + b4^2.
+
+The two phases come from blocked tables. A grid is cut into blocks of
+BLOCK points, counted from its first point k = 0. Each block start tau_b
+gets its own cos and sin, with the rounding error of tau_b and of its
+phases carried to first order, and the point tau_b + j*step combines
+them with entry j of one table of BLOCK offset phases by the angle-sum
+identities. So a point costs a few real multiply-adds and no
+trigonometry, and its C^2 depends only on its block and its offset in
+the block: a call that starts at a block of a longer grid (the start
+argument) returns that block's values bit for bit. entanglement.tau_star
+relies on this. While a phase stays below 2**60 it is within a few ulp
+of the exact one, so E is closer to the exact trace (about 1e-14 at
+tau = 1e4) than the evolve_analytic route, whose phase arguments round
+to about 1e-11 there.
+
+E follows from C^2 by the binary entropy, as in
+entanglement.eof_from_concurrence. Every operation runs in a fixed order
+on float64 arrays, so results are a pure function of the arguments.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from . import _trace_py
 from .errors import BadGrid, DegenerateEta
+from .spins import eta_constants
 
-_impl = None
-if os.environ.get("FIBERSPIN_PURE", "") in ("", "0"):
-    try:
-        from . import _trace_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = None
+#: points per phase table; block b of a grid starts at k = b*BLOCK
+BLOCK = 1024
+
+#: blocks computed together; 32 * 1024 float64 values are 256 KiB per buffer
+_ROWS = 32
+
+#: stands in for y = 0 in y*log2(y): y is a multiple of 2**-53 or zero, so
+#: raising only the zeros to it changes no other value and keeps 0*log2(.) = 0
+_TINY = 2.0**-64
 
 
 def backend() -> str:
-    """Name of the active kernel backend: 'compiled' or 'python'."""
-    return "compiled" if _impl is not None else "python"
+    """Name of the kernel implementation; there is one, numpy, named 'python'."""
+    return "python"
 
 
 def trace_constants(eta: float) -> tuple[float, float, float, float, float]:
@@ -47,31 +67,160 @@ def trace_constants(eta: float) -> tuple[float, float, float, float, float]:
 
     a_k = c_k * p_k and b_k = c_k * q_k collapse the initial-state
     coefficients into the eigenvector amplitudes; c_k = p_k makes them
-    plain squares and products.
+    plain squares and products of spins.eta_constants.
     """
     if not math.isfinite(eta) or eta <= 0.0:
         raise DegenerateEta(f"eta must be a positive real, got {eta!r}")
-    s = math.sqrt(1.0 + eta * eta)
-    one_minus_s = -eta * eta / (1.0 + s)
-    r1 = s * (1.0 + s)
-    r4 = -s * one_minus_s
-    p1 = eta / (2.0 * math.sqrt(r1))
-    q1 = -(1.0 + s) / (2.0 * math.sqrt(r1))
-    p4 = eta / (2.0 * math.sqrt(r4))
-    q4 = -one_minus_s / (2.0 * math.sqrt(r4))
-    return p1 * p1, p4 * p4, p1 * q1, p4 * q4, 2.0 * s
+    k = eta_constants(eta)
+    return k.p1 * k.p1, k.p4 * k.p4, k.p1 * k.q1, k.p4 * k.q4, 2.0 * k.s
 
 
-def ent_trace_grid(eta: float, tau0: float, step: float, n: int) -> np.ndarray:
-    """Entanglement of formation at tau0 + k*step for k in 0..n-1.
+def _split(a):
+    """(hi, lo) with hi + lo == a and hi holding at most 26 significant bits (Veltkamp)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
-    Returns a float64 array of length n with every value in [0, 1].
+
+def _prod_err(a, b, p):
+    """a*b - p, exactly, for p the rounded product a*b (Dekker)."""
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _sum_err(a, b, s):
+    """a + b - s, exactly, for s the rounded sum a + b (Knuth)."""
+    bb = s - a
+    return (a - (s - bb)) + (b - bb)
+
+
+class _Grid:
+    """Reduced-form coefficients and phases of the grid tau0 + k*step, k = start..start+n-1."""
+
+    def __init__(self, eta: float, tau0: float, step: float, n: int, start: int):
+        if not (math.isfinite(tau0) and math.isfinite(step)) or step <= 0.0:
+            raise BadGrid(f"need finite tau0 and step > 0, got tau0={tau0!r}, step={step!r}")
+        if n < 1:
+            raise BadGrid(f"need at least one grid point, got n={n!r}")
+        if start < 0 or start % BLOCK:
+            raise BadGrid(f"start must be a nonnegative multiple of {BLOCK}, got {start!r}")
+        a1, a4, b1, b4, omega = trace_constants(eta)
+        w = 2.0 * omega
+        phase_end = w * (abs(tau0) + (start + n) * step)
+        if not math.isfinite(phase_end):
+            raise DegenerateEta(f"eta = {eta!r}: the phase 2*omega*tau leaves the float range")
+        self.n = n
+        # the values of 2z = 2*(u^2 - v^2 - w^2) are built, so C^2 = |2z|^2
+        self.a = 4.0 * (a1 * a4 - b1 * b4)
+        b = 2.0 * (a1 * a1 + a4 * a4 - b1 * b1 - b4 * b4)
+        d = 2.0 * (a1 * a1 - a4 * a4 - b1 * b1 + b4 * b4)
+        offsets = np.arange(BLOCK, dtype=np.float64) * step
+        self.tables = (np.cos(w * offsets), np.sin(w * offsets), np.cos(4.0 * offsets), np.sin(4.0 * offsets))
+
+        # block starts tau0 + k*step, k = start + b*BLOCK, and their phases w*tau
+        # and 4*tau, each carried with its rounding error while the phase is
+        # below 2**60; beyond that a phase keeps no fraction of a turn
+        k = np.arange(start, start + n, BLOCK, dtype=np.float64)
+        p = k * step
+        tau = tau0 + p
+        theta = w * tau
+        if max(w, phase_end) < 2.0**60:
+            tau_err = _sum_err(tau0, p, tau) + _prod_err(k, step, p)
+            theta_err = _prod_err(w, tau, theta) + w * tau_err
+        else:
+            tau_err = theta_err = np.zeros_like(tau)
+        cw, sw = np.cos(theta), np.sin(theta)
+        cw, sw = cw - theta_err * sw, sw + theta_err * cw
+        cf, sf = np.cos(4.0 * tau), np.sin(4.0 * tau)
+        cf, sf = cf - 4.0 * tau_err * sf, sf + 4.0 * tau_err * cf
+        # Re 2z = 2A + 2B cos(w tau) - cos(4 tau)/2 and Im 2z = 2D sin(w tau) + sin(4 tau)/2,
+        # each phase at tau_b + t expanded over the tables' cos and sin of t
+        self.starts = np.stack(
+            (b * cw, -b * sw, -0.5 * cf, 0.5 * sf, d * sw, d * cw, 0.5 * sf, 0.5 * cf)
+        )[:, :, None]
+
+    @property
+    def blocks(self) -> int:
+        return self.starts.shape[1]
+
+    def conc2(self, b0: int, b1: int) -> np.ndarray:
+        """C^2 on the grid's blocks b0..b1-1 as a (b1-b0, width) array.
+
+        width is BLOCK, or the length of the grid's last block when b1 - b0
+        is 1 and that block is short.
+        """
+        width = min(BLOCK, self.n - b0 * BLOCK)
+        starts = self.starts[:, b0:b1]
+        tables = [t[:width] for t in self.tables]
+        re = np.multiply(starts[0], tables[0])
+        im = np.multiply(starts[4], tables[0])
+        tmp = np.empty_like(re)
+        for k in (1, 2, 3):
+            re += np.multiply(starts[k], tables[k], out=tmp)
+            im += np.multiply(starts[4 + k], tables[k], out=tmp)
+        re += self.a
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        re += im
+        return re
+
+
+def _eof(c2: np.ndarray) -> np.ndarray:
+    """Entanglement of formation of each C^2, in place of the array.
+
+    x = (1 + sqrt(1 - C^2))/2 and E = -x*log2(x) - y*log2(y) with y = 1 - x;
+    a C^2 rounded above 1 counts as C = 1.
     """
-    if not (math.isfinite(tau0) and math.isfinite(step)) or step <= 0.0:
-        raise BadGrid(f"need finite tau0 and step > 0, got tau0={tau0!r}, step={step!r}")
-    if n < 1:
-        raise BadGrid(f"need at least one grid point, got n={n!r}")
-    a1, a4, b1, b4, omega = trace_constants(eta)
-    if _impl is not None:
-        return _impl.ent_trace(a1, a4, b1, b4, omega, tau0, step, int(n))
-    return _trace_py.ent_trace(a1, a4, b1, b4, omega, tau0, step, int(n))
+    x = np.subtract(1.0, c2, out=c2)
+    np.maximum(x, 0.0, out=x)
+    np.sqrt(x, out=x)
+    x += 1.0
+    x *= 0.5
+    y = np.subtract(1.0, x)
+    ylog = np.maximum(y, _TINY)
+    np.log2(ylog, out=ylog)
+    ylog *= y
+    np.log2(x, out=y)
+    y *= x
+    np.negative(y, out=y)
+    y -= ylog
+    return y
+
+
+def _chunks(grid: _Grid):
+    """(first block, C^2 rows) over the grid, _ROWS blocks at a time; a short last block comes alone."""
+    full = grid.n // BLOCK
+    for b0 in range(0, full, _ROWS):
+        b1 = min(b0 + _ROWS, full)
+        yield b0, grid.conc2(b0, b1)
+    if full < grid.blocks:
+        yield full, grid.conc2(full, full + 1)
+
+
+def ent_trace_grid(eta: float, tau0: float, step: float, n: int, start: int = 0) -> np.ndarray:
+    """Entanglement of formation at tau0 + k*step for k = start, ..., start+n-1.
+
+    Returns a float64 array of length n with every value in [0, 1]. start
+    must be a multiple of BLOCK; the values are then those of the same
+    points in any longer grid with the same tau0 and step, bit for bit.
+    """
+    grid = _Grid(eta, tau0, step, int(n), int(start))
+    out = np.empty(grid.n, dtype=np.float64)
+    for b0, c2 in _chunks(grid):
+        lo = b0 * BLOCK
+        out[lo : lo + c2.size] = _eof(c2).ravel()
+    return out
+
+
+def conc2_block_max(eta: float, tau0: float, step: float, n: int) -> np.ndarray:
+    """Largest C^2 in each BLOCK-point block of the ent_trace_grid grid.
+
+    Returns a float64 array of ceil(n / BLOCK) values; the C^2 values are
+    those ent_trace_grid turns into E, and memory stays O(BLOCK * _ROWS).
+    """
+    grid = _Grid(eta, tau0, step, int(n), 0)
+    out = np.empty(grid.blocks, dtype=np.float64)
+    for b0, c2 in _chunks(grid):
+        out[b0 : b0 + len(c2)] = c2.max(axis=1)
+    return out

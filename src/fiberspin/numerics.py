@@ -145,9 +145,11 @@ def _check_hermitian(h) -> np.ndarray:
         raise ValueError(f"expected shape (4, 4), got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite matrix entries")
+    # relative to the largest entry at every scale, so a matrix of small
+    # entries gets no absolute allowance and the zero matrix must be exact
     scale = float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.conj().T))) > HERMITIAN_TOL * max(scale, 1.0):
-        raise NotHermitian(f"max |h - h^dagger| exceeds {HERMITIAN_TOL:.0e} * scale")
+    if float(np.max(np.abs(a - a.conj().T))) > HERMITIAN_TOL * scale:
+        raise NotHermitian(f"max |h - h^dagger| exceeds {HERMITIAN_TOL:.0e} * max |h_ij|")
     return a
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,19 +91,50 @@ def build_hamiltonian(sp: SpinParams) -> np.ndarray:
     return h
 
 
-def _eta_constants(eta: float) -> tuple[float, float, float, float, float]:
-    """Stable subexpressions shared by the eigenvectors and coefficients.
+class EtaConstants(NamedTuple):
+    """The eta-dependent radicals and eigenvector components, derived once.
 
-    Returns (s, one_minus_s, r1, r4, ...) where s = sqrt(1+eta^2),
-    r1 = 1+eta^2+s, r4 = 1+eta^2-s. r4 cancels catastrophically if
-    formed literally at small eta, so it is built from
-    1 - s = -eta^2/(1+s) instead.
+    s = sqrt(1+eta^2) and m = s - 1; r1 = s*(1+s) and r4 = s*(s-1) are the
+    squared norms of the two mixing eigenvectors before normalization, so
+    root1 = sqrt(r1) and root4 = sqrt(r4). The mixing eigenvectors are
+    (p1, q1, q1, p1) at energy -2*J*s and (p4, q4, q4, p4) at +2*J*s.
     """
-    s = math.sqrt(1.0 + eta * eta)
-    one_minus_s = -eta * eta / (1.0 + s)
-    r1 = s * (1.0 + s)
-    r4 = -s * one_minus_s
-    return s, one_minus_s, r1, r4, 2.0 * s
+
+    s: float
+    m: float
+    root1: float
+    root4: float
+    p1: float
+    q1: float
+    p4: float
+    q4: float
+
+
+def eta_constants(eta: float) -> EtaConstants:
+    """EtaConstants for a finite nonzero eta; every field is finite for every such float.
+
+    m is formed as eta*(eta/(1+s)), since s - 1 cancels catastrophically
+    at small eta. Nothing squares eta or multiplies two quantities of its
+    size: s comes from hypot, each root is a product of square roots and
+    each halving comes last, so neither a huge nor a tiny eta overflows or
+    divides by zero.
+    """
+    a = abs(eta)
+    s = math.hypot(1.0, eta)
+    m = a * (a / (1.0 + s))
+    root_s = math.sqrt(s)
+    root1 = root_s * math.sqrt(1.0 + s)
+    root4 = root_s * (a / math.sqrt(1.0 + s))
+    return EtaConstants(
+        s=s,
+        m=m,
+        root1=root1,
+        root4=root4,
+        p1=eta / root1 / 2.0,
+        q1=-(1.0 + s) / root1 / 2.0,
+        p4=eta / root4 / 2.0,
+        q4=m / root4 / 2.0,
+    )
 
 
 def analytic_eigensystem(sp: SpinParams) -> AnalyticEigensystem:
@@ -119,12 +151,8 @@ def analytic_eigensystem(sp: SpinParams) -> AnalyticEigensystem:
         raise DegenerateEta("eigenvector normalizations divide by eta-dependent radicals")
     if sp.j <= 0.0:
         raise ValueError(f"closed-form eigensystem requires j > 0, got {sp.j!r}")
-    eta = sp.eta
-    s, one_minus_s, r1, r4, _ = _eta_constants(eta)
-    p1 = eta / (2.0 * math.sqrt(r1))
-    q1 = -(1.0 + s) / (2.0 * math.sqrt(r1))
-    p4 = eta / (2.0 * math.sqrt(r4))
-    q4 = -one_minus_s / (2.0 * math.sqrt(r4))
+    k = eta_constants(sp.eta)
+    p1, q1, p4, q4, s = k.p1, k.q1, k.p4, k.q4, k.s
     states = np.array(
         [
             [p1, q1, q1, p1],
@@ -153,10 +181,12 @@ def initial_coefficients(eta: float) -> tuple[float, float, float, float]:
     <psi_k|gg>.
     """
     _require_positive_eta(eta)
-    s, one_minus_s, r1, r4, _ = _eta_constants(eta)
-    c1 = -one_minus_s * math.sqrt(r1) / (2.0 * eta * s)
+    k = eta_constants(eta)
+    # grouped so that no intermediate overflows or underflows: m, 1+s and
+    # root4 grow like eta when it is large, and m and root4 shrink with it
+    c1 = k.m / eta * (k.root1 / k.s) / 2.0
     c3 = _SQRT_HALF
-    c4 = (1.0 + s) * math.sqrt(r4) / (2.0 * eta * s)
+    c4 = (1.0 + k.s) * (k.root4 / eta) / k.s / 2.0
     return c1, 0.0, c3, c4
 
 
@@ -172,7 +202,7 @@ def evolve_analytic(eta: float, tau: float) -> np.ndarray:
         raise ValueError("tau must be finite")
     es = analytic_eigensystem(SpinParams.from_eta(eta))
     c1, _, c3, c4 = initial_coefficients(eta)
-    s = math.sqrt(1.0 + eta * eta)
+    s = eta_constants(eta).s
     return (
         c1 * cmath.exp(2j * s * tau) * es.states[0]
         + c3 * cmath.exp(-2j * tau) * es.states[2]

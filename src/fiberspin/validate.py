@@ -154,14 +154,37 @@ def _random_pure_state(rng: np.random.Generator) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _random_local_unitary(rng: np.random.Generator) -> np.ndarray:
-    blocks = []
+def _unitary2(re, im) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """Rows of Q in z = Q*R for the 2x2 z = re + 1j*im, with R's diagonal real and positive.
+
+    re and im hold z row by row. Gram-Schmidt on z's two columns, with
+    the projection applied twice, gives this Q in closed form; it is
+    numpy.linalg.qr's Q with each column scaled by diag(r)/|diag(r)|.
+    """
+    a, b, c, d = (complex(x, y) for x, y in zip(re, im))
+    n0 = math.hypot(abs(a), abs(c))
+    a, c = a / n0, c / n0
+    # the second pass removes what rounding left of the first column
     for _ in range(2):
-        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, r = np.linalg.qr(z)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        blocks.append(q)
-    return np.kron(blocks[0], blocks[1])
+        proj = a.conjugate() * b + c.conjugate() * d
+        b, d = b - proj * a, d - proj * c
+    n1 = math.hypot(abs(b), abs(d))
+    return (a, b / n1), (c, d / n1)
+
+
+def _random_local_unitary(rng: np.random.Generator) -> np.ndarray:
+    """u1 (x) u2 for two random 2x2 unitaries, from eight normals each.
+
+    Each factor draws a 2x2 matrix of real parts, then one of imaginary
+    parts, as rng.normal(size=(2, 2)) twice would.
+    """
+    z = rng.normal(size=16).tolist()
+    u = _unitary2(z[0:4], z[4:8])
+    v = _unitary2(z[8:12], z[12:16])
+    return np.array(
+        [[u[i][j] * v[k][l] for j in range(2) for l in range(2)] for i in range(2) for k in range(2)],
+        dtype=np.complex128,
+    )
 
 
 def suite_entanglement(

@@ -11,7 +11,6 @@ def cli():
 
     def run(*args, env_extra=None):
         env = os.environ.copy()
-        env.pop("FIBERSPIN_PURE", None)
         if env_extra:
             env.update(env_extra)
         return subprocess.run(

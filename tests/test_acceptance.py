@@ -69,7 +69,6 @@ def _sample(rng):
 
 def _cli(*args):
     env = os.environ.copy()
-    env.pop("FIBERSPIN_PURE", None)
     return subprocess.run(
         [sys.executable, "-m", "fiberspin", *args], capture_output=True, env=env
     )

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberspin import NetworkParams, coupling, entanglement_trace, kernels, steady_fields
+from fiberspin import (
+    NetworkParams,
+    coupling,
+    entanglement_trace,
+    eof_from_concurrence,
+    kernels,
+    steady_fields,
+)
 from fiberspin.cli import _emit, fmt9, fmt9_block, main
 
 
@@ -224,6 +231,42 @@ def test_taustar_table_and_threads(cli):
     tau_fast = float(out[1].split(",")[1])
     tau_slow = float(out[2].split(",")[1])
     assert tau_fast < tau_slow
+
+
+def test_taustar_threads_do_not_change_output(cli):
+    args = ("taustar", "--etas", "0.4,0.2,0.1,0.05,0.3", "--window", "2000")
+    one = cli(*args, "--threads", "1")
+    two = cli(*args, "--threads", "2")
+    assert one.returncode == 0 and two.returncode == 0
+    assert one.stdout == two.stdout
+    assert len(lines(one.stdout)) == 6
+
+
+@pytest.mark.parametrize("eta", ["1e160", "1e200"])
+def test_huge_eta_is_computed_not_zeroed(cli, eta):
+    # eta*eta overflows a double here; the output must still be the eta ->
+    # infinity trace, E(tau) of C = |sin 2 tau|, with no numpy warning
+    r = cli("taustar", "--etas", eta, "--window", "10", env_extra={"PYTHONWARNINGS": "error"})
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == b""
+    assert lines(r.stdout)[1] == f"{float(eta):.8e},0.730000000,0.999998890"
+    r = cli("evolve", "--eta", eta, "--tau-max", "1", "--step", "0.1", env_extra={"PYTHONWARNINGS": "error"})
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == b""
+    rows = [row.split(",") for row in lines(r.stdout)[1:]]
+    assert len(rows) == 11
+    for tau, e in rows:
+        expect = eof_from_concurrence(abs(math.sin(2.0 * float(tau))))
+        assert abs(float(e) - expect) <= 1e-8
+
+
+def test_eta_beyond_the_phase_range_is_refused(cli):
+    # omega = 2*sqrt(1+eta^2) itself overflows: a typed error, nothing on stdout
+    for args in (("taustar", "--etas", "1.7e308", "--window", "10"), ("evolve", "--eta", "1.7e308")):
+        r = cli(*args)
+        assert r.returncode == 1
+        assert r.stderr.startswith(b"error: degenerate-eta:")
+        assert r.stdout == b""
 
 
 def test_taustar_log_grid(cli):

@@ -5,9 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiberspin import (
     BadGrid,
+    DegenerateEta,
     EntanglementTrace,
     InvalidDensityMatrix,
     NotNormalized,
@@ -21,6 +24,7 @@ from fiberspin import (
     tau_star,
 )
 from fiberspin.entanglement import MAX_GRID_POINTS
+from fiberspin.spins import initial_coefficients
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
@@ -93,6 +97,16 @@ def test_density_matrix_validation():
         concurrence_mixed(np.eye(4, dtype=complex) / 2.0)
     with pytest.raises(InvalidDensityMatrix):
         concurrence_mixed(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
+
+
+def test_density_matrix_within_tolerance_of_hermitian():
+    # a defect the density-matrix check allows must not trip the eigensolver's
+    # stricter, relative Hermiticity check; the Hermitian part is used
+    rho = werner(0.8)
+    off = rho.copy()
+    off[0, 1] += 5e-11
+    assert abs(concurrence_mixed(off) - 0.7) <= 1e-9
+    assert concurrence_mixed(rho) == concurrence_mixed(0.5 * (rho + rho.conj().T))
 
 
 def test_eof_reference_values():
@@ -193,3 +207,91 @@ def test_tau_star_decreases_with_eta_short_window():
     slow = tau_star(0.2, window=100.0, step=0.01, tolerance=1e-2)
     fast = tau_star(0.4, window=100.0, step=0.01, tolerance=1e-2)
     assert fast.tau_star < slow.tau_star
+
+
+def _full_grid_tau_star(eta, window, step, tolerance):
+    """tau_star and e_max read off the whole kernel grid, the way the definition says."""
+    n = int(math.floor(window / step + 1e-9)) + 1
+    values = kernels.ent_trace_grid(eta, 0.0, step, n)
+    e_max = float(values.max())
+    idx = int(np.argmax(values >= e_max - tolerance))
+    return float(np.arange(n, dtype=np.float64)[idx] * step), e_max
+
+
+@given(
+    eta=st.floats(min_value=1e-3, max_value=5.0),
+    step=st.sampled_from([0.01, 0.003, 0.05, 0.1, 0.0137]),
+    window=st.floats(min_value=0.1, max_value=3000.0),
+    tolerance=st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=0.5), st.floats(min_value=1.0, max_value=3.0)
+    ),
+)
+@settings(max_examples=150, deadline=None)
+@example(eta=0.1, step=0.01, window=1e4, tolerance=1e-2)
+@example(eta=0.4, step=0.01, window=50.0, tolerance=0.0)
+@example(eta=1e-3, step=0.01, window=1e4, tolerance=0.0)
+@example(eta=5.0, step=0.1, window=0.1, tolerance=1.0)
+def test_tau_star_bit_equals_full_grid(eta, step, window, tolerance):
+    window = max(window, step)
+    r = tau_star(eta, window=window, step=step, tolerance=tolerance)
+    assert (r.tau_star, r.e_max) == _full_grid_tau_star(eta, window, step, tolerance)
+
+
+def test_tau_star_uses_block_peaks_only_as_upper_bounds(monkeypatch):
+    # a raised peak may cost confirming calls but never changes the result;
+    # here the argmax of the peaks points at a block far from the maximum
+    want = tau_star(0.3, window=100.0, step=0.01, tolerance=1e-3)
+    real = kernels.conc2_block_max
+
+    def raised(*args):
+        peaks = real(*args)
+        peaks[0] = 1.5
+        return peaks
+
+    monkeypatch.setattr(kernels, "conc2_block_max", raised)
+    assert tau_star(0.3, window=100.0, step=0.01, tolerance=1e-3) == want
+    assert want.tau_star > 10.24  # past block 0, so block 0 is confirmed and passed over
+
+
+def test_tau_star_memory_stays_per_chunk():
+    # 10^6 points: the full trace alone would be 8 MB of E and 8 MB of taus
+    tau_star(0.1, window=1e4, step=1e-2, tolerance=1e-2)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        r = tau_star(0.1, window=1e4, step=1e-2, tolerance=1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert (r.tau_star, r.e_max) == _full_grid_tau_star(0.1, 1e4, 1e-2, 1e-2)
+
+
+def test_tau_star_guards():
+    with pytest.raises(OutOfRange):
+        tau_star(0.4, window=50.0, step=0.01, tolerance=math.nan)
+    with pytest.raises(BadGrid):
+        tau_star(0.4, window=50.0, step=0.2)
+    with pytest.raises(BadGrid):
+        tau_star(0.4, window=0.001, step=0.01)
+    with pytest.raises(BadGrid):
+        tau_star(0.4, window=1e7, step=0.01)
+    for eta in (0.0, -0.4, math.nan):
+        with pytest.raises(DegenerateEta):
+            tau_star(eta, window=50.0, step=0.01)
+
+
+@pytest.mark.parametrize("eta", [1e160, 1e200])
+def test_huge_eta_tau_star_and_evolution(eta):
+    # eta*eta overflows, yet every route stays finite and agrees: as
+    # eta -> infinity the state from |gg> has C = |sin 2 tau|
+    c = initial_coefficients(eta)
+    assert abs(sum(x * x for x in c) - 1.0) <= 1e-15
+    for tau in (0.0, 0.3, 0.79, 7.0):
+        psi = evolve_analytic(eta, tau)
+        assert abs(float(np.linalg.norm(psi)) - 1.0) <= 1e-12
+        assert abs(concurrence_pure(psi) - abs(math.sin(2.0 * tau))) <= 1e-12
+    r = tau_star(eta, window=10.0, step=0.01, tolerance=1e-2)
+    assert (r.tau_star, r.e_max) == _full_grid_tau_star(eta, 10.0, 0.01, 1e-2)
+    assert r.tau_star == 0.73
+    limit = max(eof_from_concurrence(abs(math.sin(2.0 * k * 0.01))) for k in range(1001))
+    assert abs(r.e_max - limit) <= 1e-12

@@ -1,20 +1,50 @@
-"""Trace kernel: constants, backends, and agreement with the slow route."""
+"""Trace kernel: constants, blocks, and agreement with the slow route."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from fiberspin import concurrence_pure, eof_from_concurrence, evolve_analytic
+from fiberspin import backend, concurrence_pure, eof_from_concurrence, evolve_analytic
 from fiberspin.errors import BadGrid, DegenerateEta
-from fiberspin.kernels import backend, ent_trace_grid, trace_constants
+from fiberspin.kernels import BLOCK, conc2_block_max, ent_trace_grid, trace_constants
+
+#: etas of the long-time agreement checks, from nearly unentangling to fast beats
+ROUTE_ETAS = (1e-3, 0.05, 0.1, 0.3, 0.8, 2.0)
+
+#: kernel vs evolve_analytic up to tau = 1e4; both phase routes round
+#: differently, evolve_analytic's by up to about 5e-12 in E there
+ROUTE_TOL = 1e-11
 
 
-def test_backend_reports_a_known_name():
-    assert backend() in {"compiled", "python"}
+def reference_e(eta, tau):
+    return eof_from_concurrence(concurrence_pure(evolve_analytic(eta, tau)))
+
+
+def test_kernel_matches_evolve_analytic_to_tau_1e4():
+    n = 1_000_001  # tau = 0, 0.01, ..., 1e4
+    rng = np.random.default_rng(4)
+    picks = np.concatenate([rng.integers(0, n, 150), np.arange(n - 50, n)])
+    for eta in ROUTE_ETAS:
+        values = ent_trace_grid(eta, 0.0, 0.01, n)
+        worst = max(abs(float(values[k]) - reference_e(eta, k * 0.01)) for k in picks.tolist())
+        assert worst <= ROUTE_TOL, (eta, worst)
+
+
+def test_kernel_offset_grids_match_evolve_analytic():
+    # grids that start late, in a block of a longer grid, or off the 0.01 lattice
+    for eta in ROUTE_ETAS:
+        late = ent_trace_grid(eta, 9990.0, 0.001, 10_001)
+        for k in (0, 1, 4321, 10_000):
+            assert abs(float(late[k]) - reference_e(eta, 9990.0 + k * 0.001)) <= ROUTE_TOL
+        start = 976 * BLOCK  # the block holding tau = 1e4 on the 0.01 grid
+        tail = ent_trace_grid(eta, 0.0, 0.01, 1001, start=start)
+        for j in (0, 1, 500, 1000):
+            assert abs(float(tail[j]) - reference_e(eta, (start + j) * 0.01)) <= ROUTE_TOL
+        odd = ent_trace_grid(eta, math.pi, 0.0123, 3000)
+        for k in (0, 1999, 2999):
+            assert abs(float(odd[k]) - reference_e(eta, math.pi + k * 0.0123)) <= ROUTE_TOL
+    assert backend() == "python"
 
 
 @pytest.mark.parametrize("eta", [0.05, 0.3, 1.0, 2.0])
@@ -68,31 +98,43 @@ def test_grid_guards():
         ent_trace_grid(0.0, 0.0, 0.01, 10)
 
 
-def test_pure_python_backend_matches(tmp_path):
-    code = (
-        "import os\n"
-        "import numpy as np\n"
-        "from fiberspin.kernels import backend, ent_trace_grid\n"
-        "vals = ent_trace_grid(0.1, 0.0, 0.01, 20001)\n"
-        "print(backend())\n"
-        "np.save(os.environ['OUT_NPY'], vals)\n"
-    )
+def test_block_calls_match_the_full_grid_bit_for_bit():
+    n = 5 * BLOCK + 321
+    for eta, tau0 in ((0.37, 0.0), (1.9, 12.5)):
+        full = ent_trace_grid(eta, tau0, 0.01, n)
+        for b in range(6):
+            lo = b * BLOCK
+            part = ent_trace_grid(eta, tau0, 0.01, min(BLOCK, n - lo), start=lo)
+            assert np.array_equal(part, full[lo : lo + BLOCK])
+        # two blocks at once, and the block maxima of C^2 that tau_star scans
+        assert np.array_equal(ent_trace_grid(eta, tau0, 0.01, 2 * BLOCK, start=BLOCK), full[BLOCK : 3 * BLOCK])
+        peaks = conc2_block_max(eta, tau0, 0.01, n)
+        assert peaks.shape == (6,)
+        e_of_peaks = [eof_from_concurrence(math.sqrt(min(c, 1.0))) for c in peaks.tolist()]
+        for b, e in enumerate(e_of_peaks):
+            assert abs(float(full[b * BLOCK : (b + 1) * BLOCK].max()) - e) <= 1e-14
+    with pytest.raises(BadGrid):
+        ent_trace_grid(0.1, 0.0, 0.01, 10, start=5)
+    with pytest.raises(BadGrid):
+        ent_trace_grid(0.1, 0.0, 0.01, 10, start=-BLOCK)
 
-    def run(pure):
-        env = os.environ.copy()
-        out = tmp_path / ("pure.npy" if pure else "default.npy")
-        env["OUT_NPY"] = str(out)
-        if pure:
-            env["FIBERSPIN_PURE"] = "1"
-        else:
-            env.pop("FIBERSPIN_PURE", None)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip(), np.load(out)
 
-    _, default_vals = run(False)
-    name_pure, pure_vals = run(True)
-    assert name_pure == "python"
-    assert float(np.max(np.abs(default_vals - pure_vals))) <= 1e-12
+@pytest.mark.parametrize("eta", [1e160, 1e200])
+def test_huge_eta_matches_evolve_analytic(eta):
+    # eta*eta overflows here; the constants must not, and the routes agree
+    a1, a4, b1, b4, omega = trace_constants(eta)
+    assert all(math.isfinite(x) for x in (a1, a4, b1, b4, omega))
+    values = ent_trace_grid(eta, 0.0, 0.01, 1001)
+    assert np.all(np.isfinite(values)) and float(values.max()) > 0.99
+    for k in (0, 1, 79, 500, 1000):
+        tau = k * 0.01
+        assert abs(float(values[k]) - reference_e(eta, tau)) <= 1e-12
+        # eta -> infinity leaves C = |sin 2 tau|
+        assert abs(float(values[k]) - eof_from_concurrence(abs(math.sin(2.0 * tau)))) <= 1e-12
+
+
+def test_phase_beyond_float_range_is_refused():
+    with pytest.raises(DegenerateEta):
+        ent_trace_grid(1.7e308, 0.0, 0.01, 10)
+    with pytest.raises(DegenerateEta):
+        ent_trace_grid(1e300, 1e10, 0.01, 10)

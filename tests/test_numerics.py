@@ -227,6 +227,18 @@ def test_jacobi_rejects_non_hermitian():
         eig_hermitian4(a)
 
 
+@pytest.mark.parametrize("entry", [1e-11, 1e-20])
+def test_jacobi_rejects_small_non_hermitian(entry):
+    # the tolerance is relative to the largest entry at every scale: a lone
+    # off-diagonal entry is as non-Hermitian as a matrix can be
+    a = np.zeros((4, 4), dtype=complex)
+    a[0, 1] = entry
+    with pytest.raises(NotHermitian):
+        eig_hermitian4(a)
+    a[1, 0] = entry
+    assert np.allclose(eig_hermitian4(a).values, [-entry, 0.0, 0.0, entry], rtol=1e-14, atol=0.0)
+
+
 def test_propagate_global_phase():
     psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     out = propagate(np.eye(4, dtype=complex), np.pi, psi)

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from fiberspin.network import NetworkParams, denominator
-from fiberspin.validate import _SAMPLE_GUARD, sample_params, suite_oracle_identity
+from fiberspin.validate import (
+    _SAMPLE_GUARD,
+    _random_local_unitary,
+    sample_params,
+    suite_oracle_identity,
+)
 
 
 def _sample_params_one_by_one(rng):
@@ -47,3 +52,27 @@ def test_oracle_suite_report_is_deterministic():
     b = suite_oracle_identity(np.random.default_rng(3), samples=200)
     assert a == b and a.passed
     assert a.detail.endswith("over 200 draws (tol 1e-10)")
+
+
+def _local_unitary_by_qr(rng):
+    # reference: LAPACK QR of each factor, phases fixed by diag(r)/|diag(r)|
+    blocks = []
+    for _ in range(2):
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q, r = np.linalg.qr(z)
+        blocks.append((q * (np.diag(r) / np.abs(np.diag(r))), np.linalg.cond(z)))
+    return blocks
+
+
+@pytest.mark.parametrize("seed", [2, 1234])
+def test_local_unitary_matches_qr_construction(seed):
+    fast = np.random.default_rng(seed)
+    reference = np.random.default_rng(seed)
+    for _ in range(2000):
+        u = _random_local_unitary(fast)
+        (q1, cond1), (q2, cond2) = _local_unitary_by_qr(reference)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 2e-15
+        # QR's own forward error grows with the condition number of the draw
+        assert np.max(np.abs(u - np.kron(q1, q2))) <= 1e-15 * max(cond1, cond2)
+    # both generators consumed the same stream
+    assert fast.random() == reference.random()
