@@ -1,8 +1,11 @@
 """Command-line front end: steady fields, coupling audit, traces, sweeps, self-checks.
 
 Subcommands: steady, coupling, evolve, taustar, feasibility, validate.
-Parameter resolution order is flags > preset > config file > built-in
-defaults; config files are flat `key = value` lines with # comments.
+Each subcommand parameter is declared once, in _PARAMS, as one `--name`
+flag and one config key. Every subcommand, validate included, reads
+--config: flat `key = value` lines with # comments, keyed by its flag
+names. Parameter resolution order is flags > preset > config file >
+built-in defaults.
 Numeric output uses 9 significant digits, locale-independent, and is
 byte-identical across repeated invocations, threaded sweeps included.
 `evolve` streams its trace in blocks of 65,536 rows, so the text it
@@ -11,8 +14,10 @@ to every value, and a non-finite value is refused before anything is
 written.
 
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
-3 self-check failure. Every failure writes one line
-`error: <code>: <message>` to stderr and keeps the data stream clean.
+3 self-check failure; each FiberspinError class carries its own as
+exit_code. Every failure writes one line `error: <code>: <message>` to
+stderr and keeps the data stream clean, except a reader closing stdout
+early, which ends the run with exit code 1 and no message.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .entanglement import entanglement_trace, tau_star
-from .errors import FiberspinError, ResonantRecycling, ValidationFailure
+from .errors import FiberspinError, ValidationFailure
 from .feasibility import (
     FIBER_PRESET,
     RAMAN_PRESET,
@@ -78,10 +83,6 @@ _NETWORK_PRESETS = {
 }
 
 _FEASIBILITY_PRESET = "paper-feasibility"
-
-_EVOLVE_DEFAULTS = {"eta": 0.1, "tau_max": 1000.0, "step": 0.01}
-_TAUSTAR_DEFAULTS = {"window": 1e4, "step": 1e-2, "tolerance": 1e-2}
-_DEFAULT_ETAS = (0.4, 0.2, 0.1, 0.05)
 
 #: relative asymmetry beyond which the coupling report flags theta1 != theta2
 _THETA_WARN = 1e-9
@@ -166,24 +167,29 @@ def _emit(
         if isinstance(row, np.ndarray) and not np.all(np.isfinite(row)):
             raise ValueError("refusing to format a non-finite number")
     sep = "," if fmt == "csv" else " "
-    if out:
-        target = open(out, "w", encoding="utf-8", newline="")
-    else:
-        target = contextlib.nullcontext(sys.stdout)
-    with target as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            if isinstance(row, np.ndarray):
-                for lo in range(0, len(row), _BLOCK_ROWS):
-                    fh.write(fmt9_block(row[lo : lo + _BLOCK_ROWS], sep))
-            elif fmt == "csv":
-                writer.writerow(row)
-            elif kv and len(row) == 2 and row[0] == "warn":
-                fh.write(f"WARN {row[1]}\n")
-            elif kv and len(row) == 2:
-                fh.write(f"{row[0]} = {row[1]}\n")
-            else:
-                fh.write(" ".join(row) + "\n")
+    try:
+        if out:
+            target = open(out, "w", encoding="utf-8", newline="")
+        else:
+            target = contextlib.nullcontext(sys.stdout)
+        with target as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            for row in rows:
+                if isinstance(row, np.ndarray):
+                    for lo in range(0, len(row), _BLOCK_ROWS):
+                        fh.write(fmt9_block(row[lo : lo + _BLOCK_ROWS], sep))
+                elif fmt == "csv":
+                    writer.writerow(row)
+                elif kv and len(row) == 2 and row[0] == "warn":
+                    fh.write(f"WARN {row[1]}\n")
+                elif kv and len(row) == 2:
+                    fh.write(f"{row[0]} = {row[1]}\n")
+                else:
+                    fh.write(" ".join(row) + "\n")
+    except OSError as exc:
+        if not out:
+            raise  # stdout failures, a closed pipe among them, are main's
+        raise _CliUsage(f"cannot write {out}: {exc}") from exc
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -217,36 +223,67 @@ def _parse_eta_list(text: str) -> list[float]:
     return [_cast("etas", s, float) for s in items]
 
 
-def _resolve(args, keys: dict[str, type], defaults: dict, preset: dict | None) -> dict:
-    """Merge defaults < config < preset < explicit flags for the given keys."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        raw = _read_config(config_path)
-        for key, value in raw.items():
-            if key not in keys:
+#: network parameters of steady and coupling; the defaults are example-sym's
+_NETWORK = {name: (float, value) for name, value in _NETWORK_PRESETS["example-sym"].items()}
+
+#: subcommand -> {name: (parse, default)}: each name is exactly one --name
+#: flag (dashes for underscores) and one config key, and parse casts both
+_PARAMS = {
+    "steady": _NETWORK,
+    "coupling": _NETWORK,
+    "evolve": {"eta": (float, 0.1), "tau_max": (float, 1000.0), "step": (float, 0.01)},
+    "taustar": {
+        "etas": (_parse_eta_list, (0.4, 0.2, 0.1, 0.05)),
+        "window": (float, 1e4),
+        "step": (float, 1e-2),
+        "tolerance": (float, 1e-2),
+        # None is one thread per CPU; below 1 is one thread
+        "threads": (int, None),
+    },
+    "feasibility": {
+        "g": (float, RAMAN_PRESET.g),
+        "omega": (float, RAMAN_PRESET.omega),
+        "delta_a": (float, RAMAN_PRESET.delta_a),
+        "gamma": (float, RAMAN_PRESET.gamma),
+        "nbar": (float, RAMAN_PRESET.nbar),
+        # None derives chi from the Raman parameters
+        "chi": (float, None),
+        "db_per_km": (float, FIBER_PRESET.db_per_km),
+        "length_km": (float, FIBER_PRESET.length_km),
+    },
+    "validate": {"seed": (int, DEFAULT_SEED), "tolerance": (float, None)},
+}
+
+#: subcommand -> (help line, default output format)
+_COMMANDS = {
+    "steady": ("steady intracavity fields and regime diagnostics", "text"),
+    "coupling": ("effective Ising strength, both routes", "text"),
+    "evolve": ("entanglement-of-formation trace from |gg>", "csv"),
+    "taustar": ("first near-maximal entanglement time per eta", "csv"),
+    "feasibility": ("experimental estimates and loss conversions", "text"),
+    "validate": ("run the seeded self-check suites", "text"),
+}
+
+
+def _resolve(args, preset: dict | None = None) -> dict:
+    """Merge defaults < config < preset < explicit flags over the subcommand's _PARAMS."""
+    params = _PARAMS[args.subcommand]
+    merged = {name: default for name, (_, default) in params.items()}
+    if args.config:
+        for key, value in _read_config(args.config).items():
+            if key not in params:
                 raise _CliUsage(f"unknown config key {key!r} for this subcommand")
-            merged[key] = _parse_eta_list(value) if key == "etas" else _cast(key, value, keys[key])
+            merged[key] = _cast(key, value, params[key][0])
     if preset:
         merged.update(preset)
-    for key in keys:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+    for name in params:
+        if getattr(args, name) is not None:
+            merged[name] = getattr(args, name)
     return merged
 
 
 def _network_params(args) -> NetworkParams:
-    preset = None
-    if getattr(args, "preset", None) is not None:
-        try:
-            preset = _NETWORK_PRESETS[args.preset]
-        except KeyError:
-            raise _CliUsage(
-                f"unknown preset {args.preset!r}; choose from {sorted(_NETWORK_PRESETS)}"
-            ) from None
-    keys = {k: float for k in _NETWORK_PRESETS["example-sym"]}
-    cfg = _resolve(args, keys, _NETWORK_PRESETS["example-sym"], preset)
+    cfg = _resolve(args, _NETWORK_PRESETS.get(args.preset))
     return NetworkParams(
         gamma=cfg["gamma"],
         delta=cfg["delta"],
@@ -304,8 +341,7 @@ def cmd_coupling(args) -> None:
 
 
 def cmd_evolve(args) -> None:
-    keys = {"eta": float, "tau_max": float, "step": float}
-    cfg = _resolve(args, keys, _EVOLVE_DEFAULTS, None)
+    cfg = _resolve(args)
     trace = entanglement_trace(cfg["eta"], cfg["tau_max"], cfg["step"])
     table = np.column_stack((trace.taus, trace.values))
     del trace  # frees the trace's own arrays before the table is written
@@ -313,7 +349,7 @@ def cmd_evolve(args) -> None:
 
 
 def _taustar_etas(args, cfg) -> list[float]:
-    if getattr(args, "etas_log", None) is not None:
+    if args.etas_log is not None:
         parts = args.etas_log.split(":")
         if len(parts) != 3:
             raise _CliUsage("--etas-log expects start:stop:count")
@@ -325,23 +361,14 @@ def _taustar_etas(args, cfg) -> list[float]:
         if count == 1:
             return [start]
         return [float(v) for v in np.geomspace(start, stop, count)]
-    etas = cfg["etas"]
-    if isinstance(etas, str):
-        etas = _parse_eta_list(etas)
-    if not etas:
-        raise _CliUsage("eta list is empty")
-    return list(etas)
+    return list(cfg["etas"])
 
 
 def cmd_taustar(args) -> None:
-    keys = {"window": float, "step": float, "tolerance": float, "threads": int, "etas": str}
-    defaults = dict(_TAUSTAR_DEFAULTS)
-    defaults["etas"] = list(_DEFAULT_ETAS)
-    defaults["threads"] = os.cpu_count() or 1
-    cfg = _resolve(args, keys, defaults, None)
+    cfg = _resolve(args)
     etas = _taustar_etas(args, cfg)
     window, step, tolerance = cfg["window"], cfg["step"], cfg["tolerance"]
-    threads = max(int(cfg["threads"]), 1)
+    threads = (os.cpu_count() or 1) if cfg["threads"] is None else max(cfg["threads"], 1)
 
     def one(eta: float):
         return tau_star(eta, window=window, step=step, tolerance=tolerance)
@@ -357,29 +384,9 @@ def cmd_taustar(args) -> None:
 
 
 def cmd_feasibility(args) -> None:
-    keys = {
-        "g": float,
-        "omega": float,
-        "delta_a": float,
-        "gamma": float,
-        "nbar": float,
-        "chi": float,
-        "db_per_km": float,
-        "length_km": float,
-    }
-    defaults = {
-        "g": RAMAN_PRESET.g,
-        "omega": RAMAN_PRESET.omega,
-        "delta_a": RAMAN_PRESET.delta_a,
-        "gamma": RAMAN_PRESET.gamma,
-        "nbar": RAMAN_PRESET.nbar,
-        "chi": None,
-        "db_per_km": FIBER_PRESET.db_per_km,
-        "length_km": FIBER_PRESET.length_km,
-    }
-    if getattr(args, "preset", None) is not None and args.preset != _FEASIBILITY_PRESET:
+    if args.preset is not None and args.preset != _FEASIBILITY_PRESET:
         raise _CliUsage(f"feasibility supports only the preset {_FEASIBILITY_PRESET!r}")
-    cfg = _resolve(args, keys, defaults, None)
+    cfg = _resolve(args)
     raman = RamanParams(
         g=cfg["g"], omega=cfg["omega"], delta_a=cfg["delta_a"], gamma=cfg["gamma"], nbar=cfg["nbar"]
     )
@@ -407,7 +414,8 @@ def cmd_feasibility(args) -> None:
 
 
 def cmd_validate(args) -> None:
-    results = run_all(seed=args.seed, tolerance=args.tolerance)
+    cfg = _resolve(args)
+    results = run_all(seed=cfg["seed"], tolerance=cfg["tolerance"])
     rows = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -422,85 +430,44 @@ def cmd_validate(args) -> None:
         raise ValidationFailure(f"{len(failed)} suite(s) failed: {names}")
 
 
-def _add_output_flags(sub) -> None:
-    sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    sub.add_argument("--format", choices=("csv", "text"), help="output format")
-    sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
-
-
-def _add_network_flags(sub) -> None:
-    for flag in ("gamma", "delta", "chi", "drive-re", "drive-im", "phi12", "phi21", "gamma-f"):
-        sub.add_argument(f"--{flag}", type=float, default=None)
-    sub.add_argument("--preset", choices=sorted(_NETWORK_PRESETS), default=None)
-    _add_output_flags(sub)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fiberspin", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    steady = subs.add_parser("steady", help="steady intracavity fields and regime diagnostics")
-    _add_network_flags(steady)
-    steady.set_defaults(func=cmd_steady, format_default="text")
-
-    coup = subs.add_parser("coupling", help="effective Ising strength, both routes")
-    _add_network_flags(coup)
-    coup.set_defaults(func=cmd_coupling, format_default="text")
-
-    evolve = subs.add_parser("evolve", help="entanglement-of-formation trace from |gg>")
-    evolve.add_argument("--eta", type=float, default=None)
-    evolve.add_argument("--tau-max", type=float, default=None)
-    evolve.add_argument("--step", type=float, default=None)
-    _add_output_flags(evolve)
-    evolve.set_defaults(func=cmd_evolve, format_default="csv")
-
-    taus = subs.add_parser("taustar", help="first near-maximal entanglement time per eta")
-    taus.add_argument("--etas", type=_parse_eta_list, default=None, metavar="E1,E2,...")
-    taus.add_argument("--etas-log", default=None, metavar="START:STOP:COUNT")
-    taus.add_argument("--window", type=float, default=None)
-    taus.add_argument("--step", type=float, default=None)
-    taus.add_argument("--tolerance", type=float, default=None)
-    taus.add_argument("--threads", type=int, default=None)
-    _add_output_flags(taus)
-    taus.set_defaults(func=cmd_taustar, format_default="csv")
-
-    feas = subs.add_parser("feasibility", help="experimental estimates and loss conversions")
-    for flag in ("g", "omega", "delta-a", "gamma", "nbar", "chi", "db-per-km", "length-km"):
-        feas.add_argument(f"--{flag}", type=float, default=None)
-    feas.add_argument("--preset", default=None)
-    _add_output_flags(feas)
-    feas.set_defaults(func=cmd_feasibility, format_default="text")
-
-    val = subs.add_parser("validate", help="run the seeded self-check suites")
-    val.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    val.add_argument("--tolerance", type=float, default=None)
-    _add_output_flags(val)
-    val.set_defaults(func=cmd_validate, format_default="text")
-
+    for command, (help_line, fmt) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_line)
+        for name, (parse, _) in _PARAMS[command].items():
+            metavar = "E1,E2,..." if name == "etas" else None
+            sub.add_argument("--" + name.replace("_", "-"), type=parse, metavar=metavar)
+        if command in ("steady", "coupling"):
+            sub.add_argument("--preset", choices=sorted(_NETWORK_PRESETS))
+        elif command == "feasibility":
+            sub.add_argument("--preset")
+        elif command == "taustar":
+            sub.add_argument("--etas-log", metavar="START:STOP:COUNT")
+        sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+        sub.add_argument("--format", choices=("csv", "text"), default=fmt, help="output format")
+        sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
+        # looked up now, not at import, so a handler rebound on the module is the one called
+        sub.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.format is None:
-            args.format = args.format_default
+        args = build_parser().parse_args(argv)
         args.func(args)
+        sys.stdout.flush()
         return 0
-    except _CliUsage as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the interpreter's
+        # own flush at exit cannot fail again (Python docs, signal module,
+        # "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ResonantRecycling as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 2
-    except ValidationFailure as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 3
     except FiberspinError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return exc.exit_code
+    except (_CliUsage, ValueError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1
 

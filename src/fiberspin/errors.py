@@ -10,6 +10,8 @@ class FiberspinError(Exception):
 
     #: short machine-readable slug used in CLI error lines
     code = "error"
+    #: process exit status the CLI returns for this error
+    exit_code = 1
 
 
 class SingularSystem(FiberspinError):
@@ -39,6 +41,7 @@ class ResonantRecycling(FiberspinError):
     """
 
     code = "resonant-recycling"
+    exit_code = 2
 
 
 class NegativeLoss(FiberspinError):
@@ -87,3 +90,4 @@ class ValidationFailure(FiberspinError):
     """A self-check suite reported at least one failing identity."""
 
     code = "validation"
+    exit_code = 3

@@ -94,16 +94,15 @@ def build_hamiltonian(sp: SpinParams) -> np.ndarray:
 class EtaConstants(NamedTuple):
     """The eta-dependent radicals and eigenvector components, derived once.
 
-    s = sqrt(1+eta^2) and m = s - 1; r1 = s*(1+s) and r4 = s*(s-1) are the
-    squared norms of the two mixing eigenvectors before normalization, so
-    root1 = sqrt(r1) and root4 = sqrt(r4). The mixing eigenvectors are
-    (p1, q1, q1, p1) at energy -2*J*s and (p4, q4, q4, p4) at +2*J*s.
+    s = sqrt(1+eta^2) and m = s - 1; r1 = s*(1+s) is the squared norm of
+    the first mixing eigenvector before normalization, and root1 = sqrt(r1).
+    The mixing eigenvectors are (p1, q1, q1, p1) at energy -2*J*s and
+    (p4, q4, q4, p4) at +2*J*s.
     """
 
     s: float
     m: float
     root1: float
-    root4: float
     p1: float
     q1: float
     p4: float
@@ -115,25 +114,24 @@ def eta_constants(eta: float) -> EtaConstants:
 
     m is formed as eta*(eta/(1+s)), since s - 1 cancels catastrophically
     at small eta. Nothing squares eta or multiplies two quantities of its
-    size: s comes from hypot, each root is a product of square roots and
-    each halving comes last, so neither a huge nor a tiny eta overflows or
-    divides by zero.
+    size: s comes from hypot, root1 is a product of square roots and each
+    halving comes last, so neither a huge nor a tiny eta overflows or
+    divides by zero. p4 and q4 use the closed forms
+    sign(eta)*sqrt((1+s)/s)/2 and |eta|/root1/2, which divide by no
+    eta-sized quantity, so a subnormal eta cannot round them away.
     """
     a = abs(eta)
     s = math.hypot(1.0, eta)
     m = a * (a / (1.0 + s))
-    root_s = math.sqrt(s)
-    root1 = root_s * math.sqrt(1.0 + s)
-    root4 = root_s * (a / math.sqrt(1.0 + s))
+    root1 = math.sqrt(s) * math.sqrt(1.0 + s)
     return EtaConstants(
         s=s,
         m=m,
         root1=root1,
-        root4=root4,
         p1=eta / root1 / 2.0,
         q1=-(1.0 + s) / root1 / 2.0,
-        p4=eta / root4 / 2.0,
-        q4=m / root4 / 2.0,
+        p4=math.copysign(math.sqrt((1.0 + s) / s), eta) / 2.0,
+        q4=a / root1 / 2.0,
     )
 
 
@@ -183,10 +181,10 @@ def initial_coefficients(eta: float) -> tuple[float, float, float, float]:
     _require_positive_eta(eta)
     k = eta_constants(eta)
     # grouped so that no intermediate overflows or underflows: m, 1+s and
-    # root4 grow like eta when it is large, and m and root4 shrink with it
+    # root1 grow like eta when it is large, and m shrinks with it
     c1 = k.m / eta * (k.root1 / k.s) / 2.0
     c3 = _SQRT_HALF
-    c4 = (1.0 + k.s) * (k.root4 / eta) / k.s / 2.0
+    c4 = (1.0 + k.s) / k.root1 / 2.0
     return c1, 0.0, c3, c4
 
 

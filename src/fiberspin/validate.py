@@ -218,15 +218,12 @@ def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[Su
     """Run every suite with one seeded generator; tolerance overrides all defaults."""
     rng = np.random.default_rng(seed)
     if tolerance is None:
-        return [
-            suite_oracle_identity(rng),
-            suite_eigensystem(rng),
-            suite_evolution(),
-            suite_entanglement(rng),
-        ]
+        tol, pair = {}, {}
+    else:
+        tol, pair = {"tol": tolerance}, {"tol_consistency": tolerance, "tol_invariance": tolerance}
     return [
-        suite_oracle_identity(rng, tol=tolerance),
-        suite_eigensystem(rng, tol=tolerance),
-        suite_evolution(tol=tolerance),
-        suite_entanglement(rng, tol_consistency=tolerance, tol_invariance=tolerance),
+        suite_oracle_identity(rng, **tol),
+        suite_eigensystem(rng, **tol),
+        suite_evolution(**tol),
+        suite_entanglement(rng, **pair),
     ]

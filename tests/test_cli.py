@@ -1,6 +1,9 @@
 """Subprocess checks of the command-line interface and its output contract."""
 
+import argparse
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from fiberspin import (
     kernels,
     steady_fields,
 )
-from fiberspin.cli import _emit, fmt9, fmt9_block, main
+from fiberspin import errors
+from fiberspin.cli import _CliUsage, _emit, _resolve, build_parser, fmt9, fmt9_block, main
 
 
 def lines(raw):
@@ -375,3 +379,199 @@ def test_validate_passes_and_fails(cli):
     assert strict.returncode == 3
     assert strict.stderr.startswith(b"error: validation:")
     assert any(row.startswith("FAIL ") for row in lines(strict.stdout))
+
+
+@pytest.mark.parametrize("eta", ["5e-324", "1e-315", "1e-310"])
+def test_subnormal_eta_starts_unentangled(capsys, eta):
+    # |gg> is a product state, and a subnormal field cannot entangle it within tau = 1
+    assert main(["evolve", "--eta", eta, "--tau-max", "1", "--step", "0.1"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == "0.00000000,0.00000000"
+    assert all(row.endswith(",0.00000000") for row in rows[1:])
+
+
+#: full stdout of cheap invocations; a refactor of the CLI must reproduce
+#: them byte for byte
+GOLDEN_TRANSCRIPTS = {
+    ("steady", "--preset", "example-sym"): """\
+alpha_re = 10.0000000
+alpha_im = -10.0000000
+alpha_mod = 14.1421356
+beta_re = 7.07106781
+beta_im = -7.07106781
+beta_mod = 10.0000000
+denominator_re = -6.12323400e-17
+denominator_im = 1.00000000
+denominator_mod = 1.00000000
+WARN |alpha| = 14.14 not >> gamma/chi = 10: noise terms are not negligible
+""",
+    ("steady", "--preset", "example-asym", "--format", "csv"): """\
+alpha_re,2.72216269
+alpha_im,0.812603216
+alpha_mod,2.84086143
+beta_re,1.89945782
+beta_im,1.68773664
+beta_mod,2.54094371
+denominator_re,0.387642246
+denominator_im,0.0679609140
+denominator_mod,0.393554566
+warn,|alpha| = 2.841 not >> gamma/chi = 10: noise terms are not negligible
+""",
+    ("coupling", "--preset", "example-sym", "--format", "csv"): """\
+j_oracle,-2.00000000
+j_closed,-2.00000000
+j_single,-1.00000000
+theta1,-100.000000
+theta2,-100.000000
+local1,20.0000000
+local2,10.0000000
+""",
+    ("coupling", "--preset", "example-asym"): """\
+j_oracle = 0.150327939
+j_closed = 0.150327939
+j_single = 0.0978630661
+theta1 = 9.78630661
+theta2 = 5.24648731
+local1 = 0.807049369
+local2 = 0.645639495
+WARN theta-asymmetry: |theta1 - theta2| = 4.539819e+00 exceeds 1e-09 * max moduli; \
+the single-theta shortcut j_single is unreliable here
+""",
+    ("coupling", "--preset", "example-asym", "--format", "csv"): """\
+j_oracle,0.150327939
+j_closed,0.150327939
+j_single,0.0978630661
+theta1,9.78630661
+theta2,5.24648731
+local1,0.807049369
+local2,0.645639495
+warn,theta-asymmetry: |theta1 - theta2| = 4.539819e+00 exceeds 1e-09 * max moduli; \
+the single-theta shortcut j_single is unreliable here
+""",
+    ("feasibility", "--format", "csv"): """\
+chi,6.28318531
+chi_sign,-1.00000000
+nbar,100.000000
+j_at_nbar,50.2654825
+j_nbar_50,25.1327412
+j_nbar_100,50.2654825
+gamma_f_power,0.0805904783
+gamma_f_amplitude,0.0402952391
+loss_ratio_single,0.922571427
+loss_ratio_squared,0.851138038
+""",
+    ("taustar", "--etas", "0.4,0.2", "--window", "200"): """\
+eta,tau_star,e_max
+0.400000000,9.98000000,0.999996869
+0.200000000,36.7400000,0.999841932
+""",
+    ("evolve", "--tau-max", "1", "--step", "0.1"): """\
+tau,entanglement
+0.00000000,0.00000000
+0.100000000,0.0000000221618057
+0.200000000,0.00000108096873
+0.300000000,0.00000958953551
+0.400000000,0.0000414013785
+0.500000000,0.000118254693
+0.600000000,0.000255969594
+0.700000000,0.000451051641
+0.800000000,0.000674921275
+0.900000000,0.000881345976
+1.00000000,0.00102511152
+""",
+}
+
+
+def test_golden_cli_transcripts(capsys):
+    for argv, expected in GOLDEN_TRANSCRIPTS.items():
+        assert main(list(argv)) == 0, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, ""), argv
+
+
+SUBCOMMANDS = ("steady", "coupling", "evolve", "taustar", "feasibility", "validate")
+
+#: flags that are not parameters, so no config file may set them
+NOT_CONFIG_KEYS = {"--out", "--format", "--config", "--preset", "--etas-log"}
+
+
+def _long_flags(command):
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subs.choices[command]._actions
+    return {flag for a in actions for flag in a.option_strings if flag.startswith("--")} - {"--help"}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_parameter_flag_is_a_config_key(command, tmp_path):
+    flags = _long_flags(command)
+    keys = {flag[2:].replace("-", "_") for flag in flags - NOT_CONFIG_KEYS}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = 1\n" for key in sorted(keys)), encoding="utf-8")
+    assert set(_resolve(build_parser().parse_args([command, "--config", str(cfg)]))) == keys
+    for flag in flags & NOT_CONFIG_KEYS:
+        cfg.write_text(f"{flag[2:]} = 1\n", encoding="utf-8")
+        with pytest.raises(_CliUsage, match="unknown config key"):
+            _resolve(build_parser().parse_args([command, "--config", str(cfg)]))
+
+
+#: per subcommand: arguments both runs share, then one parameter and its value
+ONE_PARAMETER = {
+    "steady": ((), "delta", "0.5"),
+    "coupling": ((), "chi", "0.2"),
+    "evolve": (("--tau-max", "1"), "step", "0.1"),
+    "taustar": (("--etas", "0.4"), "window", "200"),
+    "feasibility": ((), "nbar", "50"),
+    "validate": ((), "seed", "5"),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_config_key_matches_its_flag(command, capsys, tmp_path):
+    shared, key, value = ONE_PARAMETER[command]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    from_config = main([command, *shared, "--config", str(cfg)]), capsys.readouterr()
+    from_flag = main([command, *shared, f"--{key.replace('_', '-')}", value]), capsys.readouterr()
+    assert from_config == from_flag
+    assert from_flag[0] == 0 and from_flag[1].out
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_missing_config_is_usage_error(command, capsys, tmp_path):
+    assert main([command, "--config", str(tmp_path / "missing.cfg")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: usage: cannot read config file")
+
+
+def test_error_classes_carry_their_exit_codes():
+    classes = [
+        c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.FiberspinError)
+    ]
+    assert len(classes) == 13
+    special = {errors.ResonantRecycling: 2, errors.ValidationFailure: 3}
+    for c in classes:
+        assert c.exit_code == special.get(c, 1), c
+
+
+def test_unwritable_out_is_one_usage_line(cli, tmp_path):
+    r = cli("steady", "--out", str(tmp_path / "missing" / "x"))
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert r.stderr.startswith(b"error: usage: cannot write ")
+    assert r.stderr.count(b"\n") == 1
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # 10^5 rows are far more than a pipe buffers, so the CLI is still writing
+    # when the reader goes away, as with `fiberspin evolve | head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fiberspin", "evolve", "--tau-max", "1000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"tau,entanglement\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

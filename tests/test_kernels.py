@@ -58,6 +58,13 @@ def test_trace_constants_identities(eta):
     assert a1 > 0.0 and a4 > 0.0
 
 
+@pytest.mark.parametrize("eta", [5e-324, 1e-315, 1e-310])
+def test_subnormal_eta_leaves_gg_unentangled(eta):
+    a1, a4, b1, b4, omega = trace_constants(eta)
+    assert abs(a1 + a4 - 0.5) <= 1e-15
+    assert float(np.max(ent_trace_grid(eta, 0.0, 0.01, 1001))) == 0.0
+
+
 def test_trace_constants_degenerate_eta():
     with pytest.raises(DegenerateEta):
         trace_constants(0.0)

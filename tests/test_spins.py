@@ -88,6 +88,15 @@ def test_initial_coefficients_are_ground_overlaps(eta):
     assert abs(sum(v * v for v in c) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("eta", [5e-324, 1e-315, 1e-310])
+def test_subnormal_eta_stays_normalized(eta):
+    c = initial_coefficients(eta)
+    assert abs(sum(v * v for v in c) - 1.0) <= 1e-15
+    states = analytic_eigensystem(SpinParams.from_eta(eta)).states
+    assert np.allclose(states.conj() @ states.T, np.eye(4), rtol=0.0, atol=1e-15)
+    assert abs(np.linalg.norm(evolve_analytic(eta, 1.0)) - 1.0) <= 1e-15
+
+
 def test_evolution_matches_matrix_exponential():
     for eta in (0.05, 0.1, 0.5, 1.0):
         h = build_hamiltonian(SpinParams.from_eta(eta))
