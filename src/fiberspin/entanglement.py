@@ -44,6 +44,9 @@ SPIN_FLIP = np.array(
     ]
 )
 
+#: SPIN_FLIP[i, 3 - i] * SPIN_FLIP[3 - j, j], the signs of (sy x sy) X (sy x sy)
+_FLIP_SIGNS = np.outer(np.diag(SPIN_FLIP[:, ::-1]), np.diag(SPIN_FLIP[::-1]))
+
 _NORM_TOL = 1e-10
 _DM_TOL = 1e-10
 
@@ -56,40 +59,72 @@ MAX_GRID_POINTS = 2**25
 _E_SLACK = 1e-12
 
 
-def concurrence_pure(psi) -> float:
-    """Concurrence of a normalized two-qubit pure state."""
+def concurrence_pure(psi):
+    """Concurrence of a normalized two-qubit pure state, or of a stack of them.
+
+    psi has shape (4,), giving a float, or (n, 4), giving an ndarray of n
+    concurrences.
+    """
     a = np.asarray(psi, dtype=np.complex128)
-    if a.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {a.shape}")
+    if a.shape[-1:] != (4,) or a.ndim not in (1, 2):
+        raise ValueError(f"expected 4 amplitudes or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite amplitudes")
-    nrm = float(np.linalg.norm(a))
-    if abs(nrm - 1.0) > _NORM_TOL:
-        raise NotNormalized(f"|psi| = {nrm!r} differs from 1 beyond {_NORM_TOL:.0e}")
-    c = 2.0 * abs(a[0] * a[3] - a[1] * a[2])
-    return min(c, 1.0)
+    nrm = np.ravel(np.linalg.norm(a, axis=-1))
+    off = np.abs(nrm - 1.0)
+    if np.any(off > _NORM_TOL):
+        worst = float(nrm[np.argmax(off)])
+        raise NotNormalized(f"|psi| = {worst!r} differs from 1 beyond {_NORM_TOL:.0e}")
+    r, i = a.real.T, a.imag.T
+    # 2*|a_ee*a_gg - a_eg*a_ge|, each complex product in real arithmetic
+    re = (r[0] * r[3] - i[0] * i[3]) - (r[1] * r[2] - i[1] * i[2])
+    im = (r[0] * i[3] + i[0] * r[3]) - (r[1] * i[2] + i[1] * r[2])
+    c = np.minimum(2.0 * np.hypot(re, im), 1.0)
+    return float(c) if a.ndim == 1 else c
 
 
 def _check_density_matrix(rho) -> np.ndarray:
     a = np.asarray(rho, dtype=np.complex128)
-    if a.shape != (4, 4):
-        raise InvalidDensityMatrix(f"expected shape (4, 4), got {a.shape}")
+    if a.shape[-2:] != (4, 4) or a.ndim not in (2, 3):
+        raise InvalidDensityMatrix(f"expected shape (4, 4) or (n, 4, 4), got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidDensityMatrix("non-finite entries")
-    if float(np.max(np.abs(a - a.conj().T))) > _DM_TOL:
+    adjoint = np.swapaxes(a, -2, -1).conj()
+    if float(np.max(np.abs(a - adjoint), initial=0.0)) > _DM_TOL:
         raise InvalidDensityMatrix(f"not Hermitian to {_DM_TOL:.0e}")
-    tr = complex(np.trace(a))
-    if abs(tr - 1.0) > _DM_TOL:
-        raise InvalidDensityMatrix(f"trace = {tr!r} differs from 1 beyond {_DM_TOL:.0e}")
+    tr = np.ravel(np.trace(a, axis1=-2, axis2=-1))
+    off = np.abs(tr - 1.0)
+    if np.any(off > _DM_TOL):
+        worst = complex(tr[np.argmax(off)])
+        raise InvalidDensityMatrix(f"trace = {worst!r} differs from 1 beyond {_DM_TOL:.0e}")
     # the Hermitian part: the same bits for an exactly Hermitian rho, and it
     # meets eig_hermitian4's relative check whatever the absolute defect was
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + adjoint)
 
 
-def concurrence_mixed(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def _matmul4(x_re, x_im, y_re, y_im):
+    """Real and imaginary parts of x @ y for stacks of 4x4 complex matrices.
 
-    Implemented through the Hermitian product sqrt(rho) * rho_tilde *
+    Products and sums run in real arithmetic in a fixed order, so each
+    product depends only on the bits of its own two factors, whatever
+    stack it sits in.
+    """
+    xr, xi = x_re[..., :, :, None], x_im[..., :, :, None]
+    yr, yi = y_re[..., None, :, :], y_im[..., None, :, :]
+    # terms[..., i, k, j] = x[i, k] * y[k, j], summed over k in order
+    terms_re = xr * yr - xi * yi
+    terms_im = xr * yi + xi * yr
+    out_re = ((terms_re[..., 0, :] + terms_re[..., 1, :]) + terms_re[..., 2, :]) + terms_re[..., 3, :]
+    out_im = ((terms_im[..., 0, :] + terms_im[..., 1, :]) + terms_im[..., 2, :]) + terms_im[..., 3, :]
+    return out_re, out_im
+
+
+def concurrence_mixed(rho):
+    """Wootters concurrence of a two-qubit density matrix, or of a stack of them.
+
+    rho has shape (4, 4), giving a float, or (n, 4, 4), giving an ndarray
+    of n concurrences; the whole stack goes through each eigensolve at
+    once. Implemented through the Hermitian product sqrt(rho) * rho_tilde *
     sqrt(rho), whose eigenvalues are the squares of the usual lambda_i;
     this keeps every eigensolve on a Hermitian matrix. Agrees with
     concurrence_pure on rank-1 inputs to ~1e-14.
@@ -97,20 +132,28 @@ def concurrence_mixed(rho) -> float:
     a = _check_density_matrix(rho)
     eig = eig_hermitian4(a)
     vals = eig.values
-    if float(vals[0]) < -_DM_TOL:
-        raise InvalidDensityMatrix(f"negative eigenvalue {float(vals[0])!r}")
-    root = eig.vectors @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ eig.vectors.conj().T
-    tilde = SPIN_FLIP @ a.conj() @ SPIN_FLIP
-    m = root @ tilde @ root
-    m = 0.5 * (m + m.conj().T)
+    if np.any(vals[..., 0] < -_DM_TOL):
+        raise InvalidDensityMatrix(f"negative eigenvalue {float(np.min(vals[..., 0]))!r}")
+    # sqrt(rho) = V diag(sqrt(values)) V^dagger
+    scaled = eig.vectors * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+    adjoint = np.swapaxes(eig.vectors, -2, -1)
+    root = _matmul4(scaled.real, scaled.imag, adjoint.real, -adjoint.imag)
+    # rho_tilde = (sy x sy) conj(rho) (sy x sy): SPIN_FLIP is a signed
+    # permutation, so this reverses both axes and flips signs exactly
+    flipped = a[..., ::-1, ::-1]
+    tilde_re, tilde_im = _FLIP_SIGNS * flipped.real, -_FLIP_SIGNS * flipped.imag
+    m_re, m_im = _matmul4(*_matmul4(*root, tilde_re, tilde_im), *root)
+    m = np.empty(m_re.shape, dtype=np.complex128)
+    m.real = 0.5 * (m_re + np.swapaxes(m_re, -2, -1))
+    m.imag = 0.5 * (m_im - np.swapaxes(m_im, -2, -1))
     mu = np.clip(eig_hermitian4(m).values, 0.0, None)
     # eigenvalues of m below the rounding floor are noise around zero;
     # square-rooting them would inject sqrt(eps) ~ 1e-8 into the sum
-    floor = 64.0 * np.finfo(np.float64).eps * float(mu[-1])
+    floor = 64.0 * np.finfo(np.float64).eps * mu[..., -1:]
     mu[mu <= floor] = 0.0
-    lams = np.sqrt(mu)[::-1]
-    c = float(lams[0] - lams[1] - lams[2] - lams[3])
-    return min(max(c, 0.0), 1.0)
+    lams = np.sqrt(mu)
+    c = np.minimum(np.maximum(((lams[..., 3] - lams[..., 2]) - lams[..., 1]) - lams[..., 0], 0.0), 1.0)
+    return float(c) if a.ndim == 2 else c
 
 
 def eof_from_concurrence(c: float) -> float:

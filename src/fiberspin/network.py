@@ -14,8 +14,8 @@ fast field fluctuations around the steady values leaves an effective
 Ising interaction 2*J*sz1*sz2 between the atoms plus local frequency
 shifts. This module computes the steady fields, the elimination
 coefficients, and J itself, twice: once from closed forms and once from
-a sign-toggling oracle that never touches those forms, so the two
-routes audit each other.
+a linear-response oracle that solves the fluctuation equations and never
+touches those forms, so the two routes audit each other.
 
 The closed-form J has two contributions (one per fiber direction),
 
@@ -63,8 +63,16 @@ class NetworkParams:
     units: str = "arb"
 
     def __post_init__(self):
-        vals = (self.gamma, self.delta, self.chi, self.phi12, self.phi21, self.gamma_f)
-        if not all(math.isfinite(v) for v in vals) or not cmath.isfinite(self.drive):
+        finite = math.isfinite
+        if not (
+            finite(self.gamma)
+            and finite(self.delta)
+            and finite(self.chi)
+            and finite(self.phi12)
+            and finite(self.phi21)
+            and finite(self.gamma_f)
+            and cmath.isfinite(self.drive)
+        ):
             raise ValueError("non-finite network parameter")
         if self.gamma < 0.0:
             raise ValueError(f"cavity decay rate must be >= 0, got {self.gamma!r}")
@@ -97,12 +105,13 @@ class FluctuationCoefficients:
 class CouplingResult:
     """Effective Ising strength with its audit trail.
 
-    j_oracle comes from the four-sign elimination oracle, j_closed from
-    gamma*chi^2*(theta1+theta2); the two agree to 1e-10 relative by
-    construction of the derivation. j_single keeps the one-directional
-    shortcut gamma*chi^2*theta1 for comparison. local1/local2 are the
-    per-atom frequency shifts chi*|alpha|^2 and chi*|beta|^2 that a
-    detuning choice is assumed to cancel.
+    j_oracle comes from the linear-response elimination oracle (the z1*z2
+    part of the mean-field energy, from solved fluctuation coefficients),
+    j_closed from gamma*chi^2*(theta1+theta2); the two agree to 1e-10
+    relative by construction of the derivation. j_single keeps the
+    one-directional shortcut gamma*chi^2*theta1 for comparison.
+    local1/local2 are the per-atom frequency shifts chi*|alpha|^2 and
+    chi*|beta|^2 that a detuning choice is assumed to cancel.
     """
 
     j_oracle: float
@@ -201,9 +210,9 @@ def fluctuation_coefficients(p: NetworkParams, s: SteadyFields) -> FluctuationCo
     m = _system_matrix(p)
     src1 = (-1j * p.chi * s.alpha, 0.0)
     src2 = (0.0, -1j * p.chi * s.beta)
-    a1, b1 = solve2(m, src1)
-    a2, b2 = solve2(m, src2)
-    return FluctuationCoefficients(c_a1=complex(a1), c_a2=complex(a2), c_b1=complex(b1), c_b2=complex(b2))
+    a1, b1 = solve2(m, src1).tolist()
+    a2, b2 = solve2(m, src2).tolist()
+    return FluctuationCoefficients(c_a1=a1, c_a2=a2, c_b1=b1, c_b2=b2)
 
 
 def fluctuation_coefficients_closed(p: NetworkParams, s: SteadyFields) -> FluctuationCoefficients:
@@ -241,34 +250,24 @@ def theta_variants(p: NetworkParams, s: SteadyFields) -> tuple[float, float]:
 def coupling(p: NetworkParams) -> CouplingResult:
     """Effective Ising strength J, from the elimination oracle and from closed forms.
 
-    The oracle knows nothing of the theta formulas: for each of the four
-    sign assignments (z1, z2) in {-1, +1}^2 it solves the fluctuation
-    system with sources -i*chi*alpha*z1, -i*chi*beta*z2, forms the
-    mean-field interaction energy
+    The oracle knows nothing of the theta formulas. The fluctuations
+    respond linearly to the atoms, a = c_a1*z1 + c_a2*z2 and
+    b = c_b1*z1 + c_b2*z2 for spins z1, z2 = +-1, with the c's solved by
+    fluctuation_coefficients. In the mean-field interaction energy
 
-        E(z1, z2) = 2*chi*Re(conj(alpha)*a)*z1 + 2*chi*Re(conj(beta)*b)*z2,
+        E(z1, z2) = 2*chi*Re(conj(alpha)*a)*z1 + 2*chi*Re(conj(beta)*b)*z2
 
-    and extracts the z1*z2 component by the four-point mixed difference
-    [E(+,+) - E(+,-) - E(-,+) + E(-,-)]/8. That is j_oracle; the closed
-    forms fill the rest of the result.
+    the z1^2 and z2^2 terms are constants, and the z1*z2 term, which the
+    four-point mixed difference [E(+,+) - E(+,-) - E(-,+) + E(-,-)]/8
+    isolates, is exactly
+
+        j_oracle = chi*[Re(conj(alpha)*c_a2) + Re(conj(beta)*c_b1)].
+
+    The closed forms fill the rest of the result.
     """
     s = steady_fields(p)
-    m = _system_matrix(p)
-    ka = -1j * p.chi * s.alpha
-    kb = -1j * p.chi * s.beta
-    energies = {}
-    for z1 in (1.0, -1.0):
-        for z2 in (1.0, -1.0):
-            a, b = solve2(m, (ka * z1, kb * z2)).tolist()
-            energies[(z1, z2)] = 2.0 * p.chi * (
-                (s.alpha.conjugate() * a).real * z1 + (s.beta.conjugate() * b).real * z2
-            )
-    j_oracle = (
-        energies[(1.0, 1.0)]
-        - energies[(1.0, -1.0)]
-        - energies[(-1.0, 1.0)]
-        + energies[(-1.0, -1.0)]
-    ) / 8.0
+    c = fluctuation_coefficients(p, s)
+    j_oracle = p.chi * ((s.alpha.conjugate() * c.c_a2).real + (s.beta.conjugate() * c.c_b1).real)
     t1, t2 = theta_variants(p, s)
     gc2 = p.gamma * p.chi * p.chi
     return CouplingResult(

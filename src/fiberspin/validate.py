@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import concurrence_mixed, concurrence_pure
-from .network import NetworkParams, coupling, denominator, steady_fields, theta_variants
+from .errors import OutOfRange
+from .network import NetworkParams, coupling, denominator
 from .numerics import eig_hermitian4, propagate
 from .spins import (
     SpinParams,
@@ -29,6 +30,11 @@ DEFAULT_SEED = 1234
 #: margin over the library's own singularity guard used when sampling,
 #: so every sampled point is comfortably conditioned
 _SAMPLE_GUARD = 1e-6
+
+#: parameter sets the oracle suite samples and checks at a time, and
+#: matrices or states the array suites stack at a time; both bound memory
+_ORACLE_CHUNK = 500
+_STACK_CHUNK = 250
 
 
 @dataclass(frozen=True)
@@ -50,31 +56,46 @@ _SAMPLE_RANGES = (
     (0.0, 2.0 * math.pi),
     (0.0, 0.3),
 )
+_SAMPLE_LOW = np.array([lo for lo, _ in _SAMPLE_RANGES])
+_SAMPLE_SPAN = np.array([hi - lo for lo, hi in _SAMPLE_RANGES])
 
 
-def sample_params(rng: np.random.Generator) -> NetworkParams:
-    """Random network parameters away from the recycling singularity.
+def _worst(*figures) -> float:
+    """Largest of 0.0, the scalar figures and every entry of the array figures.
 
-    Each attempt draws eight doubles with one rng.random call and maps
-    them as low + (high - low) * u, the same arithmetic on the same
-    stream as eight rng.uniform(low, high) calls, so the draws are
-    bit-identical to drawing them one by one.
+    NaN if any of them is NaN: Python's max(0.0, nan) is 0.0, which would
+    let a NaN defect pass a suite, while np.max propagates NaN.
     """
-    while True:
-        gamma, delta, chi, mod, arg, phi12, phi21, gamma_f = (
-            lo + (hi - lo) * u for (lo, hi), u in zip(_SAMPLE_RANGES, rng.random(8).tolist())
-        )
-        p = NetworkParams(
-            gamma=gamma,
-            delta=delta,
-            chi=chi,
-            drive=mod * complex(math.cos(arg), math.sin(arg)),
-            phi12=phi12,
-            phi21=phi21,
-            gamma_f=gamma_f,
-        )
-        if abs(denominator(p)) > _SAMPLE_GUARD * (gamma * gamma + delta * delta):
-            return p
+    return float(np.max([np.max(f, initial=0.0) for f in figures], initial=0.0))
+
+
+def sample_params(rng: np.random.Generator, n: int) -> list[NetworkParams]:
+    """n random network parameter sets away from the recycling singularity.
+
+    Each attempt takes eight doubles of the stream and maps them as
+    low + (high - low) * u, the same arithmetic on the same stream as
+    eight rng.uniform(low, high) calls, and an attempt too close to the
+    singularity is dropped. Attempts are drawn in bulk, as many as are
+    still missing, so the generator never runs ahead: the accepted sets
+    and the stream left behind are bit-identical to drawing attempt
+    after attempt until n are accepted.
+    """
+    accepted: list[NetworkParams] = []
+    while len(accepted) < n:
+        draws = _SAMPLE_LOW + _SAMPLE_SPAN * rng.random((n - len(accepted), 8))
+        for gamma, delta, chi, mod, arg, phi12, phi21, gamma_f in draws.tolist():
+            p = NetworkParams(
+                gamma=gamma,
+                delta=delta,
+                chi=chi,
+                drive=mod * complex(math.cos(arg), math.sin(arg)),
+                phi12=phi12,
+                phi21=phi21,
+                gamma_f=gamma_f,
+            )
+            if abs(denominator(p)) > _SAMPLE_GUARD * (gamma * gamma + delta * delta):
+                accepted.append(p)
+    return accepted
 
 
 def _coupling_mismatch(p: NetworkParams) -> float:
@@ -91,9 +112,11 @@ def _coupling_mismatch(p: NetworkParams) -> float:
 
 
 def suite_oracle_identity(rng: np.random.Generator, samples: int = 10_000, tol: float = 1e-10) -> SuiteResult:
-    worst = 0.0
-    for _ in range(samples):
-        worst = max(worst, _coupling_mismatch(sample_params(rng)))
+    mismatches = []
+    for lo in range(0, samples, _ORACLE_CHUNK):
+        # a chunk at a time, so only one chunk of parameter sets is alive
+        mismatches += [_coupling_mismatch(p) for p in sample_params(rng, min(_ORACLE_CHUNK, samples - lo))]
+    worst = _worst(mismatches)
     return SuiteResult(
         name="oracle-identity",
         passed=worst <= tol,
@@ -102,24 +125,30 @@ def suite_oracle_identity(rng: np.random.Generator, samples: int = 10_000, tol: 
     )
 
 
+def _eigensystem_defects(etas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Spectral, residual and orthonormality defects of the closed-form eigensystems."""
+    params = [SpinParams.from_eta(eta) for eta in etas.tolist()]
+    systems = [analytic_eigensystem(sp) for sp in params]
+    # states[n, k] is the k-th closed-form eigenvector of the n-th Hamiltonian
+    states = np.array([es.states for es in systems])
+    energies = np.array([es.energies for es in systems])
+    h = np.array([build_hamiltonian(sp) for sp in params])
+    numeric = eig_hermitian4(h).values
+    spectral = np.max(np.abs(energies - numeric), axis=1) / (2.0 * np.sqrt(1.0 + etas * etas))
+    # column k of h @ states^T is h @ states[k]
+    columns = np.swapaxes(states, 1, 2)
+    residual = np.max(np.abs(h @ columns - columns * energies[:, None, :]), axis=(1, 2))
+    residual = residual / np.max(np.abs(h), axis=(1, 2))
+    gram = states.conj() @ columns
+    return spectral, residual, np.abs(gram - np.eye(4))
+
+
 def suite_eigensystem(rng: np.random.Generator, samples: int = 1000, tol: float = 1e-10) -> SuiteResult:
-    worst = 0.0
-    for _ in range(samples):
-        eta = float(rng.uniform(1e-3, 2.0))
-        sp = SpinParams.from_eta(eta)
-        es = analytic_eigensystem(sp)
-        h = build_hamiltonian(sp)
-        hscale = float(np.max(np.abs(h)))
-        numeric = eig_hermitian4(h).values
-        worst = max(
-            worst,
-            float(np.max(np.abs(es.energies - numeric))) / (2.0 * math.sqrt(1.0 + eta * eta)),
-        )
-        for k in range(4):
-            res = h @ es.states[k] - es.energies[k] * es.states[k]
-            worst = max(worst, float(np.max(np.abs(res))) / hscale)
-        gram = es.states.conj() @ es.states.T
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(4)))))
+    etas = rng.uniform(1e-3, 2.0, samples)
+    defects = []
+    for lo in range(0, samples, _STACK_CHUNK):
+        defects += _eigensystem_defects(etas[lo : lo + _STACK_CHUNK])
+    worst = _worst(*defects)
     return SuiteResult(
         name="eigensystem",
         passed=worst <= tol,
@@ -129,19 +158,20 @@ def suite_eigensystem(rng: np.random.Generator, samples: int = 1000, tol: float 
 
 
 def suite_evolution(tol: float = 1e-10) -> SuiteResult:
-    worst = 0.0
+    figures = []
+    taus = (0.1, 1.0, 10.0, 100.0)
     for eta in (0.05, 0.1, 0.5, 1.0):
         h = build_hamiltonian(SpinParams.from_eta(eta))
         gg = np.array([0.0, 0.0, 0.0, 1.0], dtype=np.complex128)
         c = initial_coefficients(eta)
-        worst = max(worst, abs(sum(x * x for x in c) - 1.0))
-        worst = max(worst, abs(c[1]))
-        for tau in (0.1, 1.0, 10.0, 100.0):
+        figures.append(abs(sum(x * x for x in c) - 1.0))
+        figures.append(abs(c[1]))
+        for tau, reference in zip(taus, propagate(h, np.array(taus), gg)):
             closed = evolve_analytic(eta, tau)
-            reference = propagate(h, tau, gg)
             fidelity = abs(np.vdot(reference, closed))
-            worst = max(worst, abs(1.0 - fidelity))
-            worst = max(worst, abs(float(np.linalg.norm(closed)) - 1.0))
+            figures.append(abs(1.0 - fidelity))
+            figures.append(abs(float(np.linalg.norm(closed)) - 1.0))
+    worst = _worst(figures)
     return SuiteResult(
         name="evolution",
         passed=worst <= tol,
@@ -149,42 +179,30 @@ def suite_evolution(tol: float = 1e-10) -> SuiteResult:
     )
 
 
-def _random_pure_state(rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return z / np.linalg.norm(z)
+def _local_unitaries(z: np.ndarray) -> np.ndarray:
+    """u1 (x) u2 for pairs of random 2x2 unitaries, from 16 normals each.
 
-
-def _unitary2(re, im) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Rows of Q in z = Q*R for the 2x2 z = re + 1j*im, with R's diagonal real and positive.
-
-    re and im hold z row by row. Gram-Schmidt on z's two columns, with
-    the projection applied twice, gives this Q in closed form; it is
-    numpy.linalg.qr's Q with each column scaled by diag(r)/|diag(r)|.
+    z has shape (n, 16). Each factor takes a 2x2 matrix of real parts,
+    then one of imaginary parts, as rng.normal(size=(2, 2)) twice would,
+    and becomes the Q of z = Q*R with R's diagonal real and positive.
+    That Q comes from Gram-Schmidt on z's two columns, with the
+    projection applied twice, in closed form; it is numpy.linalg.qr's Q
+    with each column scaled by diag(r)/|diag(r)|.
     """
-    a, b, c, d = (complex(x, y) for x, y in zip(re, im))
-    n0 = math.hypot(abs(a), abs(c))
-    a, c = a / n0, c / n0
-    # the second pass removes what rounding left of the first column
-    for _ in range(2):
-        proj = a.conjugate() * b + c.conjugate() * d
-        b, d = b - proj * a, d - proj * c
-    n1 = math.hypot(abs(b), abs(d))
-    return (a, b / n1), (c, d / n1)
-
-
-def _random_local_unitary(rng: np.random.Generator) -> np.ndarray:
-    """u1 (x) u2 for two random 2x2 unitaries, from eight normals each.
-
-    Each factor draws a 2x2 matrix of real parts, then one of imaginary
-    parts, as rng.normal(size=(2, 2)) twice would.
-    """
-    z = rng.normal(size=16).tolist()
-    u = _unitary2(z[0:4], z[4:8])
-    v = _unitary2(z[8:12], z[12:16])
-    return np.array(
-        [[u[i][j] * v[k][l] for j in range(2) for l in range(2)] for i in range(2) for k in range(2)],
-        dtype=np.complex128,
-    )
+    factors = []
+    for re, im in ((z[:, 0:4], z[:, 4:8]), (z[:, 8:12], z[:, 12:16])):
+        a, b, c, d = (re + 1j * im).T
+        n0 = np.hypot(np.abs(a), np.abs(c))
+        a, c = a / n0, c / n0
+        # the second pass removes what rounding left of the first column
+        for _ in range(2):
+            proj = a.conj() * b + c.conj() * d
+            b, d = b - proj * a, d - proj * c
+        n1 = np.hypot(np.abs(b), np.abs(d))
+        factors.append(np.stack((np.stack((a, b / n1), axis=-1), np.stack((c, d / n1), axis=-1)), axis=1))
+    u, v = factors
+    n = z.shape[0]
+    return (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(n, 4, 4)
 
 
 def suite_entanglement(
@@ -193,18 +211,22 @@ def suite_entanglement(
     tol_consistency: float = 1e-8,
     tol_invariance: float = 1e-9,
 ) -> SuiteResult:
-    worst_consistency = 0.0
-    worst_invariance = 0.0
     singlet = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
     werner = 0.8 * np.outer(singlet, singlet.conj()) + 0.2 * np.eye(4) / 4.0
-    worst_invariance = max(worst_invariance, abs(concurrence_mixed(werner) - 0.7))
-    for _ in range(samples):
-        psi = _random_pure_state(rng)
+    # per state: four real parts, four imaginary parts, then the 16 normals
+    # of its local unitary, in the order drawing them state by state gives
+    z = rng.normal(size=(samples, 24))
+    consistency, invariance = [], [abs(concurrence_mixed(werner) - 0.7)]
+    for chunk in (z[lo : lo + _STACK_CHUNK] for lo in range(0, samples, _STACK_CHUNK)):
+        psi = chunk[:, 0:4] + 1j * chunk[:, 4:8]
+        psi = psi / np.linalg.norm(psi, axis=1)[:, None]
         pure = concurrence_pure(psi)
-        mixed = concurrence_mixed(np.outer(psi, psi.conj()))
-        worst_consistency = max(worst_consistency, abs(pure - mixed))
-        rotated = concurrence_pure(_random_local_unitary(rng) @ psi)
-        worst_invariance = max(worst_invariance, abs(pure - rotated))
+        mixed = concurrence_mixed(psi[:, :, None] * psi.conj()[:, None, :])
+        rotated = concurrence_pure((_local_unitaries(chunk[:, 8:]) @ psi[:, :, None])[:, :, 0])
+        consistency.append(np.abs(pure - mixed))
+        invariance.append(np.abs(pure - rotated))
+    worst_consistency = _worst(*consistency)
+    worst_invariance = _worst(*invariance)
     return SuiteResult(
         name="entanglement",
         passed=worst_consistency <= tol_consistency and worst_invariance <= tol_invariance,
@@ -215,7 +237,13 @@ def suite_entanglement(
 
 
 def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[SuiteResult]:
-    """Run every suite with one seeded generator; tolerance overrides all defaults."""
+    """Run every suite with one seeded generator; tolerance overrides all defaults.
+
+    Raises OutOfRange, before any suite runs, for a tolerance that is NaN,
+    infinite or negative: against it every defect would pass, or none.
+    """
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise OutOfRange(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     rng = np.random.default_rng(seed)
     if tolerance is None:
         tol, pair = {}, {}

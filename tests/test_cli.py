@@ -381,6 +381,18 @@ def test_validate_passes_and_fails(cli):
     assert any(row.startswith("FAIL ") for row in lines(strict.stdout))
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "-inf"])
+def test_validate_refuses_a_bad_tolerance(capsys, tmp_path, tolerance):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(f"tolerance = {tolerance}\n", encoding="utf-8")
+    for argv in (["validate", f"--tolerance={tolerance}"], ["validate", "--config", str(cfg)]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out-of-range: tolerance must be")
+        assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("eta", ["5e-324", "1e-315", "1e-310"])
 def test_subnormal_eta_starts_unentangled(capsys, eta):
     # |gg> is a product state, and a subnormal field cannot entangle it within tau = 1

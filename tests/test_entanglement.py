@@ -86,6 +86,54 @@ def test_local_unitary_invariance():
         assert abs(concurrence_mixed(u @ rho @ u.conj().T) - concurrence_mixed(rho)) <= 1e-9
 
 
+def _density_stack(rng):
+    """Pure, rank-2, full-rank, Werner and maximally mixed density matrices."""
+    rhos = [werner(0.8), werner(0.2), np.eye(4, dtype=complex) / 4.0]
+    for _ in range(40):
+        psi = random_state(rng)
+        rhos.append(np.outer(psi, psi.conj()))
+        a, b = random_state(rng), random_state(rng)
+        rhos.append(0.7 * np.outer(a, a.conj()) + 0.3 * np.outer(b, b.conj()))
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        full = g @ g.conj().T
+        rhos.append(full / np.trace(full).real)
+    return np.array(rhos)
+
+
+def test_stacked_concurrence_equals_per_matrix_loop():
+    rng = np.random.default_rng(23)
+    rhos = _density_stack(rng)
+    stacked = concurrence_mixed(rhos)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (len(rhos),)
+    one_by_one = [concurrence_mixed(rho) for rho in rhos]
+    assert all(type(c) is float for c in one_by_one)
+    assert np.array_equal(stacked, one_by_one)
+    # the same matrices in another order and stack size keep their bits
+    order = rng.permutation(len(rhos))[:17]
+    assert np.array_equal(concurrence_mixed(rhos[order]), stacked[order])
+    psis = np.array([random_state(rng) for _ in range(50)])
+    pure = concurrence_pure(psis)
+    assert isinstance(pure, np.ndarray) and pure.shape == (50,)
+    assert np.array_equal(pure, [concurrence_pure(psi) for psi in psis])
+    assert type(concurrence_pure(psis[0])) is float
+    assert np.max(np.abs(pure - concurrence_mixed(psis[:, :, None] * psis.conj()[:, None, :]))) <= 1e-8
+
+
+def test_stacked_concurrence_checks_every_member():
+    rhos = np.array([werner(0.5)] * 3)
+    rhos[1] *= 2.0
+    with pytest.raises(InvalidDensityMatrix):
+        concurrence_mixed(rhos)
+    psis = np.array([SINGLET] * 3)
+    psis[2] *= 2.0
+    with pytest.raises(NotNormalized):
+        concurrence_pure(psis)
+    with pytest.raises(InvalidDensityMatrix):
+        concurrence_mixed(np.zeros((2, 2, 4, 4)))
+    with pytest.raises(ValueError):
+        concurrence_pure(np.zeros((2, 2, 4)))
+
+
 def test_density_matrix_validation():
     with pytest.raises(InvalidDensityMatrix):
         concurrence_mixed(np.eye(3, dtype=complex) / 3.0)

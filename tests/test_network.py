@@ -74,6 +74,59 @@ def test_oracle_equals_closed_sum():
         assert abs(r.j_oracle - r.j_closed) <= 1e-10 * scale
 
 
+def _four_sign_j(p):
+    """The four-sign elimination oracle, kept as a test-only reference.
+
+    For each (z1, z2) in {-1, +1}^2 it solves the fluctuation system with
+    sources -i*chi*alpha*z1, -i*chi*beta*z2, forms the mean-field energy
+    E = 2*chi*Re(conj(alpha)*a)*z1 + 2*chi*Re(conj(beta)*b)*z2, and takes
+    the mixed difference [E(+,+) - E(+,-) - E(-,+) + E(-,-)]/8.
+    """
+    s = steady_fields(p)
+    mu = complex(p.gamma, p.delta)
+    m = np.array(
+        [
+            [mu, -p.gamma * cmath.exp(complex(-p.gamma_f, p.phi12))],
+            [-p.gamma * cmath.exp(complex(-p.gamma_f, p.phi21)), mu],
+        ]
+    )
+    ka, kb = -1j * p.chi * s.alpha, -1j * p.chi * s.beta
+    energy = {}
+    for z1 in (1.0, -1.0):
+        for z2 in (1.0, -1.0):
+            a, b = np.linalg.solve(m, np.array([ka * z1, kb * z2]))
+            energy[z1, z2] = 2.0 * p.chi * (
+                (s.alpha.conjugate() * a).real * z1 + (s.beta.conjugate() * b).real * z2
+            )
+    return (energy[1.0, 1.0] - energy[1.0, -1.0] - energy[-1.0, 1.0] + energy[-1.0, -1.0]) / 8.0
+
+
+def test_linear_response_oracle_matches_four_sign_difference():
+    from fiberspin.cli import _NETWORK_PRESETS
+
+    presets = [
+        NetworkParams(
+            gamma=v["gamma"],
+            delta=v["delta"],
+            chi=v["chi"],
+            drive=complex(v["drive_re"], v["drive_im"]),
+            phi12=v["phi12"],
+            phi21=v["phi21"],
+            gamma_f=v["gamma_f"],
+        )
+        for v in _NETWORK_PRESETS.values()
+    ]
+    assert len(presets) == 2
+    rng = np.random.default_rng(41)
+    for p in presets + [sample(rng) for _ in range(1000)]:
+        r = coupling(p)
+        reference = _four_sign_j(p)
+        # the scale roundoff lives on: the summed theta terms, as in validate
+        term_scale = p.gamma * p.chi**2 * (abs(r.theta1) + abs(r.theta2))
+        scale = max(abs(r.j_oracle), abs(reference), 1e-3 * term_scale)
+        assert abs(r.j_oracle - reference) <= 1e-10 * scale
+
+
 def test_fluctuation_routes_agree():
     rng = np.random.default_rng(5)
     for _ in range(300):

@@ -281,3 +281,82 @@ def test_propagate_rejects_unnormalized():
     psi = 2.0 * np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(NotNormalized):
         propagate(np.eye(4, dtype=complex), 1.0, psi)
+
+
+def _stack_members():
+    """Matrices of every kind the stacked solver must treat one by one."""
+    rng = np.random.default_rng(31)
+    members = [
+        np.zeros((4, 4), dtype=complex),
+        np.diag([3.0, -1.0, 2.0, 0.5]).astype(complex),
+        *(_EDGE_MATRICES[name] for name in sorted(_EDGE_MATRICES)),
+        build_hamiltonian(SpinParams(j=1.0, b=0.1)),
+    ]
+    for scale in (1e160, 1e-160, 1e-170, 1.0):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        members.append(scale * (a + a.conj().T))
+    while len(members) < 257:
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        members.append(a + a.conj().T)
+    return np.array(members)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+def test_jacobi_stack_gives_each_matrix_its_own_bits(n):
+    members = _stack_members()
+    alone = [eig_hermitian4(h) for h in members]
+    # each matrix at a different position in a differently composed stack
+    order = np.random.default_rng(n).permutation(len(members))
+    for start in range(0, len(members), n):
+        picked = order[start : start + n]
+        stacked = eig_hermitian4(members[picked])
+        assert stacked.values.shape == (len(picked), 4)
+        assert stacked.vectors.shape == (len(picked), 4, 4)
+        for row, k in enumerate(picked.tolist()):
+            assert np.array_equal(stacked.values[row], alone[k].values)
+            assert np.array_equal(stacked.vectors[row], alone[k].vectors)
+
+
+def test_jacobi_single_matrix_keeps_its_shapes():
+    res = eig_hermitian4(np.eye(4, dtype=complex))
+    assert res.values.shape == (4,) and res.vectors.shape == (4, 4)
+    assert np.array_equal(res.values, np.ones(4)) and np.array_equal(res.vectors, np.eye(4))
+    empty = eig_hermitian4(np.zeros((0, 4, 4), dtype=complex))
+    assert empty.values.shape == (0, 4) and empty.vectors.shape == (0, 4, 4)
+
+
+def test_jacobi_stack_checks_every_matrix():
+    stack = np.array([np.eye(4, dtype=complex)] * 3)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(NotHermitian):
+        eig_hermitian4(stack)
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        eig_hermitian4(stack)
+    for shape in [(3, 3), (2, 4, 3), (2, 2, 4, 4)]:
+        with pytest.raises(ValueError):
+            eig_hermitian4(np.zeros(shape))
+
+
+def test_jacobi_eigenvalue_beyond_float_range():
+    # every entry is finite, but the largest eigenvalue is 4 * 1.5e308
+    with pytest.raises(OverflowError):
+        eig_hermitian4(np.full((4, 4), 1.5e308, dtype=complex))
+
+
+def test_propagate_several_times_share_one_eigensolve():
+    rng = np.random.default_rng(37)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = a + a.conj().T
+    psi = np.array([0.0, 0.6, 0.0, 0.8j])
+    times = np.array([-3.0, 0.0, 0.25, 40.0])
+    states = propagate(h, times, psi)
+    assert states.shape == (4, 4)
+    for t, state in zip(times.tolist(), states):
+        # the same eigensystem and phases; only the final 4x4 product may
+        # round differently from a single-row one
+        assert np.max(np.abs(state - propagate(h, t, psi))) <= 1e-15
+    with pytest.raises(ValueError):
+        propagate(h, np.array([0.0, np.inf]), psi)
+    with pytest.raises(ValueError):
+        propagate(h, np.zeros((2, 2)), psi)
