@@ -8,10 +8,12 @@ names. Parameter resolution order is flags > preset > config file >
 built-in defaults.
 Numeric output uses 9 significant digits, locale-independent, and is
 byte-identical across repeated invocations, threaded sweeps included.
-`evolve` streams its trace in blocks of 65,536 rows, so the text it
-writes is never held whole in memory; its bytes are those of fmt9 applied
-to every value, and a non-finite value is refused before anything is
-written.
+`evolve` computes, checks, formats and writes its trace one block of
+16,384 rows at a time, so no whole-grid array or text is ever held and
+its memory is the same at any grid size; its bytes are those of fmt9
+applied to every value. The checks that can refuse a trace, the grid
+guards on the whole grid and the values of the first block, all run
+before anything is written.
 
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
 3 self-check failure; each FiberspinError class carries its own as
@@ -25,15 +27,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .entanglement import entanglement_trace, tau_star
+from .entanglement import entanglement_blocks, tau_star
 from .errors import FiberspinError, ValidationFailure
 from .feasibility import (
     FIBER_PRESET,
@@ -102,9 +106,6 @@ def fmt9(x: float) -> str:
     return f"{x:.{digits}f}"
 
 
-#: rows of a numeric table rendered and written per block
-_BLOCK_ROWS = 65_536
-
 #: fmt9's fixed-point field; every cell of a block template starts as one
 _CELL = "%.*f"
 
@@ -152,21 +153,37 @@ def fmt9_block(table: np.ndarray, sep: str) -> str:
 
 
 def _emit(
-    rows: list[tuple[str, ...] | np.ndarray], fmt: str, out: str | None, kv: bool = True
+    rows: list[tuple[str, ...] | Iterable[np.ndarray]], fmt: str, out: str | None, kv: bool = True
 ) -> None:
     """Render rows and write them to stdout or a file, LF-terminated.
 
-    A row is a tuple of strings, or a 2-d float array standing for one row
-    per array row with each value printed as fmt9 would; arrays are written
-    in blocks of _BLOCK_ROWS rows, and every value in them is checked finite
-    before the file is opened or stdout written. kv=True renders two-element
-    rows as `key = value` report lines in text mode; kv=False renders every
-    row as space-joined columns.
+    A row is a tuple of strings, or an iterable of 2-d float arrays, the
+    blocks of a table, each array row printed as one line of values as fmt9
+    would print them. Blocks are drawn one at a time as they are written,
+    so a table is never held whole. The first block of each table is drawn
+    and checked finite before the file is opened or stdout written;
+    fmt9_block checks every later one as it renders it. A later block that
+    fails, in its own checks or in its source's, leaves stdout cut short,
+    and removes the out file if this call created it. A caller that must
+    leave no partial output runs whatever can refuse a later block before
+    this call, as cmd_evolve does through entanglement_blocks.
+    kv=True renders two-element rows as `key = value` report lines in text
+    mode; kv=False renders every row as space-joined columns.
     """
+    staged: list = []
     for row in rows:
-        if isinstance(row, np.ndarray) and not np.all(np.isfinite(row)):
-            raise ValueError("refusing to format a non-finite number")
+        if not isinstance(row, tuple):
+            blocks = iter(row)
+            first = next(blocks, None)
+            if first is not None:
+                if not np.all(np.isfinite(first)):
+                    raise ValueError("refusing to format a non-finite number")
+                blocks = itertools.chain([first], blocks)
+            row = blocks
+        staged.append(row)
     sep = "," if fmt == "csv" else " "
+    created = bool(out) and not os.path.lexists(out)
+    written = False
     try:
         if out:
             target = open(out, "w", encoding="utf-8", newline="")
@@ -174,10 +191,10 @@ def _emit(
             target = contextlib.nullcontext(sys.stdout)
         with target as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            for row in rows:
-                if isinstance(row, np.ndarray):
-                    for lo in range(0, len(row), _BLOCK_ROWS):
-                        fh.write(fmt9_block(row[lo : lo + _BLOCK_ROWS], sep))
+            for row in staged:
+                if not isinstance(row, tuple):
+                    for block in row:
+                        fh.write(fmt9_block(block, sep))
                 elif fmt == "csv":
                     writer.writerow(row)
                 elif kv and len(row) == 2 and row[0] == "warn":
@@ -186,10 +203,15 @@ def _emit(
                     fh.write(f"{row[0]} = {row[1]}\n")
                 else:
                     fh.write(" ".join(row) + "\n")
+        written = True
     except OSError as exc:
         if not out:
             raise  # stdout failures, a closed pipe among them, are main's
         raise _CliUsage(f"cannot write {out}: {exc}") from exc
+    finally:
+        if created and not written:
+            with contextlib.suppress(OSError):
+                os.unlink(out)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -342,9 +364,9 @@ def cmd_coupling(args) -> None:
 
 def cmd_evolve(args) -> None:
     cfg = _resolve(args)
-    trace = entanglement_trace(cfg["eta"], cfg["tau_max"], cfg["step"])
-    table = np.column_stack((trace.taus, trace.values))
-    del trace  # frees the trace's own arrays before the table is written
+    # the whole-grid guards and the first block run here, before _emit opens anything
+    blocks = entanglement_blocks(cfg["eta"], cfg["tau_max"], cfg["step"])
+    table = (np.column_stack((b.taus, b.values)) for b in blocks)
     _emit([("tau", "entanglement"), table], args.format, args.out, kv=False)
 
 

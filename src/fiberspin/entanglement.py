@@ -20,7 +20,9 @@ what makes "first time near the maximum" well defined.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +52,16 @@ _FLIP_SIGNS = np.outer(np.diag(SPIN_FLIP[:, ::-1]), np.diag(SPIN_FLIP[::-1]))
 _NORM_TOL = 1e-10
 _DM_TOL = 1e-10
 
-#: most points one trace grid may have: 2**25 float64 values are 256 MiB per
-#: array, so a larger request fails with BadGrid instead of exhausting memory
+#: most points one trace grid may have; a larger request fails with BadGrid
+#: before any point is computed. entanglement_trace holds 2**25 float64 values
+#: in 256 MiB per array, so for it the cap bounds memory. entanglement_blocks
+#: holds one block at a time, so for it, and for `fiberspin evolve`, the cap
+#: bounds output size and run time: 2**25 rows are about 780 MB of CSV
 MAX_GRID_POINTS = 2**25
+
+#: points per entanglement_blocks block, a multiple of kernels.BLOCK; at
+#: 16,384 a formatted `fiberspin evolve` block stays small beside the imports
+_BLOCK_ROWS = 16 * kernels.BLOCK
 
 #: E-level slack of tau_star's C^2 bounds, far above the few-ulp difference
 #: between the kernel's E and eof_from_concurrence
@@ -183,7 +192,11 @@ class EntanglementTrace:
             raise BadGrid("taus and values must be equal-length 1-d arrays")
         if self.taus.size > 1:
             d = np.diff(self.taus)
-            if not (np.all(d > 0.0) and float(np.max(np.abs(d - self.step))) <= 1e-9 * self.step):
+            # a tau k*step rounds by up to half an ulp of the largest tau, so
+            # the step between two rounded taus may be off by one such ulp:
+            # 5.8e-11 at tau = 3.4e5, beyond 1e-9 * step for step = 0.01
+            slack = 1e-9 * self.step + float(np.spacing(np.max(np.abs(self.taus))))
+            if not (np.all(d > 0.0) and float(np.max(np.abs(d - self.step))) <= slack):
                 raise BadGrid("taus must increase uniformly by step")
         if not np.all((self.values >= 0.0) & (self.values <= 1.0 + 1e-9)):
             raise ValueError("entanglement values escaped [0, 1]")
@@ -233,6 +246,30 @@ def entanglement_trace(eta: float, tau_max: float, step: float) -> EntanglementT
     values = kernels.ent_trace_grid(eta, 0.0, step, n)
     taus = np.arange(n, dtype=np.float64) * step
     return EntanglementTrace(eta=eta, step=step, taus=taus, values=values)
+
+
+def entanglement_blocks(eta: float, tau_max: float, step: float) -> Iterator[EntanglementTrace]:
+    """The entanglement_trace grid as consecutive traces of at most _BLOCK_ROWS points.
+
+    The blocks' taus and values are those of entanglement_trace(eta,
+    tau_max, step), bit for bit, and memory is one block whatever the grid
+    size. Everything that can refuse the grid runs before this returns:
+    entanglement_trace's grid guards, kernels.check_grid on the whole grid
+    (eta, and the phase at its last point, which a first block alone may
+    not reach), and the first block, made and checked. Each later block is
+    made, and checked by EntanglementTrace, when the iterator reaches it.
+    """
+    n = _grid_points(tau_max, step)
+    kernels.check_grid(eta, 0.0, step, n)
+
+    def block(lo: int) -> EntanglementTrace:
+        hi = min(lo + _BLOCK_ROWS, n)
+        values = kernels.ent_trace_grid(eta, 0.0, step, hi - lo, start=lo)
+        # integer-valued floats, so these are the bits of np.arange(n) * step
+        taus = np.arange(lo, hi, dtype=np.float64) * step
+        return EntanglementTrace(eta=eta, step=step, taus=taus, values=values)
+
+    return itertools.chain([block(0)], map(block, range(_BLOCK_ROWS, n, _BLOCK_ROWS)))
 
 
 def _conc2_floor(e: float) -> float:

@@ -95,21 +95,32 @@ def _sum_err(a, b, s):
     return (a - (s - bb)) + (b - bb)
 
 
+def check_grid(eta: float, tau0: float, step: float, n: int, start: int = 0):
+    """The guard of ent_trace_grid(eta, tau0, step, n, start), run alone.
+
+    Raises BadGrid or DegenerateEta exactly when that call would refuse its
+    grid, and computes no point of it; otherwise returns trace_constants(eta).
+    A caller that computes a long grid block by block can run it once for
+    the whole grid before the first block.
+    """
+    if not (math.isfinite(tau0) and math.isfinite(step)) or step <= 0.0:
+        raise BadGrid(f"need finite tau0 and step > 0, got tau0={tau0!r}, step={step!r}")
+    if n < 1:
+        raise BadGrid(f"need at least one grid point, got n={n!r}")
+    if start < 0 or start % BLOCK:
+        raise BadGrid(f"start must be a nonnegative multiple of {BLOCK}, got {start!r}")
+    constants = trace_constants(eta)
+    if not math.isfinite(2.0 * constants[4] * (abs(tau0) + (start + n) * step)):
+        raise DegenerateEta(f"eta = {eta!r}: the phase 2*omega*tau leaves the float range")
+    return constants
+
+
 class _Grid:
     """Reduced-form coefficients and phases of the grid tau0 + k*step, k = start..start+n-1."""
 
     def __init__(self, eta: float, tau0: float, step: float, n: int, start: int):
-        if not (math.isfinite(tau0) and math.isfinite(step)) or step <= 0.0:
-            raise BadGrid(f"need finite tau0 and step > 0, got tau0={tau0!r}, step={step!r}")
-        if n < 1:
-            raise BadGrid(f"need at least one grid point, got n={n!r}")
-        if start < 0 or start % BLOCK:
-            raise BadGrid(f"start must be a nonnegative multiple of {BLOCK}, got {start!r}")
-        a1, a4, b1, b4, omega = trace_constants(eta)
+        a1, a4, b1, b4, omega = check_grid(eta, tau0, step, n, start)
         w = 2.0 * omega
-        phase_end = w * (abs(tau0) + (start + n) * step)
-        if not math.isfinite(phase_end):
-            raise DegenerateEta(f"eta = {eta!r}: the phase 2*omega*tau leaves the float range")
         self.n = n
         # the values of 2z = 2*(u^2 - v^2 - w^2) are built, so C^2 = |2z|^2
         self.a = 4.0 * (a1 * a4 - b1 * b4)
@@ -119,17 +130,21 @@ class _Grid:
         self.tables = (np.cos(w * offsets), np.sin(w * offsets), np.cos(4.0 * offsets), np.sin(4.0 * offsets))
 
         # block starts tau0 + k*step, k = start + b*BLOCK, and their phases w*tau
-        # and 4*tau, each carried with its rounding error while the phase is
-        # below 2**60; beyond that a phase keeps no fraction of a turn
+        # and 4*tau, each carried with its rounding error at the blocks whose
+        # phase is below 2**60; beyond that a phase keeps no fraction of a
+        # turn. The choice is each block's own, so a block's values do not
+        # depend on how long a grid it is part of
         k = np.arange(start, start + n, BLOCK, dtype=np.float64)
         p = k * step
         tau = tau0 + p
         theta = w * tau
-        if max(w, phase_end) < 2.0**60:
+        near = (np.abs(theta) < 2.0**60) & (w < 2.0**60)
+        # only the terms of blocks past 2**60 can overflow, and they are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
             tau_err = _sum_err(tau0, p, tau) + _prod_err(k, step, p)
             theta_err = _prod_err(w, tau, theta) + w * tau_err
-        else:
-            tau_err = theta_err = np.zeros_like(tau)
+        tau_err = np.where(near, tau_err, 0.0)
+        theta_err = np.where(near, theta_err, 0.0)
         cw, sw = np.cos(theta), np.sin(theta)
         cw, sw = cw - theta_err * sw, sw + theta_err * cw
         cf, sf = np.cos(4.0 * tau), np.sin(4.0 * tau)
@@ -204,6 +219,7 @@ def ent_trace_grid(eta: float, tau0: float, step: float, n: int, start: int = 0)
     Returns a float64 array of length n with every value in [0, 1]. start
     must be a multiple of BLOCK; the values are then those of the same
     points in any longer grid with the same tau0 and step, bit for bit.
+    A grid that check_grid refuses raises before anything is computed.
     """
     grid = _Grid(eta, tau0, step, int(n), int(start))
     out = np.empty(grid.n, dtype=np.float64)

@@ -153,7 +153,11 @@ def steady_fields(p: NetworkParams) -> SteadyFields:
     Raises ResonantRecycling when |D| <= 1e-9*(gamma^2+delta^2), the
     neighborhood of the recycling resonance where the fields diverge.
     """
-    d = denominator(p)
+    return _steady(p, denominator(p), _hop21(p))
+
+
+def _steady(p: NetworkParams, d: complex, hop21: complex) -> SteadyFields:
+    """steady_fields, given D and the 2 -> 1 fiber factor."""
     mu = _mu(p)
     scale = p.gamma * p.gamma + p.delta * p.delta
     if abs(d) <= EPS_SINGULAR * scale:
@@ -163,7 +167,7 @@ def steady_fields(p: NetworkParams) -> SteadyFields:
             f" phi12+phi21 -> 0 (mod 2*pi)"
         )
     alpha = p.drive * mu / d
-    beta = p.gamma * alpha * _hop21(p) / mu
+    beta = p.gamma * alpha * hop21 / mu
     return SteadyFields(alpha=alpha, beta=beta)
 
 
@@ -191,11 +195,6 @@ def validate_regime(p: NetworkParams, s: SteadyFields) -> list[str]:
     return notes
 
 
-def _system_matrix(p: NetworkParams) -> list[list[complex]]:
-    mu = _mu(p)
-    return [[mu, -p.gamma * _hop12(p)], [-p.gamma * _hop21(p), mu]]
-
-
 def fluctuation_coefficients(p: NetworkParams, s: SteadyFields) -> FluctuationCoefficients:
     """Linear-response coefficients of the field fluctuations to each atom.
 
@@ -207,7 +206,15 @@ def fluctuation_coefficients(p: NetworkParams, s: SteadyFields) -> FluctuationCo
     for unit source vectors sz1 = 1 and sz2 = 1 via solve2, giving the
     decomposition a = c_a1*sz1 + c_a2*sz2, b = c_b1*sz1 + c_b2*sz2.
     """
-    m = _system_matrix(p)
+    return _fluctuations(p, s, _hop12(p), _hop21(p))
+
+
+def _fluctuations(
+    p: NetworkParams, s: SteadyFields, hop12: complex, hop21: complex
+) -> FluctuationCoefficients:
+    """fluctuation_coefficients, given the fiber factors; never uses D or the thetas."""
+    mu = _mu(p)
+    m = [[mu, -p.gamma * hop12], [-p.gamma * hop21, mu]]
     src1 = (-1j * p.chi * s.alpha, 0.0)
     src2 = (0.0, -1j * p.chi * s.beta)
     a1, b1 = solve2(m, src1).tolist()
@@ -241,9 +248,13 @@ def theta_variants(p: NetworkParams, s: SteadyFields) -> tuple[float, float]:
     between them is assumed; they coincide only on the symmetric
     manifold (see module docstring).
     """
-    d = denominator(p)
-    t1 = (s.alpha.conjugate() * s.beta * _hop12(p) / d).imag
-    t2 = (s.alpha * s.beta.conjugate() * _hop21(p) / d).imag
+    return _thetas(s, denominator(p), _hop12(p), _hop21(p))
+
+
+def _thetas(s: SteadyFields, d: complex, hop12: complex, hop21: complex) -> tuple[float, float]:
+    """theta_variants, given D and the fiber factors."""
+    t1 = (s.alpha.conjugate() * s.beta * hop12 / d).imag
+    t2 = (s.alpha * s.beta.conjugate() * hop21 / d).imag
     return t1, t2
 
 
@@ -263,12 +274,16 @@ def coupling(p: NetworkParams) -> CouplingResult:
 
         j_oracle = chi*[Re(conj(alpha)*c_a2) + Re(conj(beta)*c_b1)].
 
-    The closed forms fill the rest of the result.
+    The closed forms fill the rest of the result. D and each fiber factor
+    are computed once per call and shared by the routes that use them; the
+    oracle takes only the fiber factors, which its system matrix holds.
     """
-    s = steady_fields(p)
-    c = fluctuation_coefficients(p, s)
+    d = denominator(p)
+    hop12, hop21 = _hop12(p), _hop21(p)
+    s = _steady(p, d, hop21)
+    c = _fluctuations(p, s, hop12, hop21)
     j_oracle = p.chi * ((s.alpha.conjugate() * c.c_a2).real + (s.beta.conjugate() * c.c_b1).real)
-    t1, t2 = theta_variants(p, s)
+    t1, t2 = _thetas(s, d, hop12, hop21)
     gc2 = p.gamma * p.chi * p.chi
     return CouplingResult(
         j_oracle=j_oracle,

@@ -4,6 +4,7 @@ import argparse
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from fiberspin import (
     kernels,
     steady_fields,
 )
+from fiberspin import cli as cli_module
+from fiberspin.entanglement import _BLOCK_ROWS
 from fiberspin import errors
 from fiberspin.cli import _CliUsage, _emit, _resolve, build_parser, fmt9, fmt9_block, main
 
@@ -114,7 +117,7 @@ def test_fmt9_block_matches_fmt9(rows):
 
 
 def test_evolve_streams_blocks_byte_identical(cli, tmp_path):
-    # 150,001 rows: two full 65,536-row blocks and a partial third
+    # 150,001 rows: nine full 16,384-row blocks and a partial tenth
     trace = entanglement_trace(0.1, 1500.0, 0.01)
     table = np.column_stack((trace.taus, trace.values))
     assert table.shape == (150_001, 2)
@@ -132,7 +135,7 @@ def test_evolve_streams_blocks_byte_identical(cli, tmp_path):
 
 
 def test_evolve_fails_before_writing(monkeypatch, capsys, tmp_path):
-    def nan_kernel(eta, tau0, step, n):
+    def nan_kernel(eta, tau0, step, n, start=0):
         values = np.zeros(n)
         values[-1] = math.nan
         return values
@@ -150,9 +153,85 @@ def test_evolve_fails_before_writing(monkeypatch, capsys, tmp_path):
     out = tmp_path / "partial.csv"
     for target in (str(out), None):
         with pytest.raises(ValueError):
-            _emit([("tau", "entanglement"), table], "csv", target, kv=False)
+            _emit([("tau", "entanglement"), iter([table])], "csv", target, kv=False)
     assert not out.exists()
     assert capsys.readouterr().out == ""
+
+
+def test_evolve_removes_its_out_file_when_a_later_block_fails(monkeypatch, capsys, tmp_path):
+    real = kernels.ent_trace_grid
+
+    def late_nan_kernel(eta, tau0, step, n, start=0):
+        values = real(eta, tau0, step, n, start=start)
+        if start > 0:
+            values[-1] = math.nan
+        return values
+
+    monkeypatch.setattr(kernels, "ent_trace_grid", late_nan_kernel)
+    out = tmp_path / "partial.csv"
+    # 20,001 rows: the first block passes, the second fails as it is reached
+    assert main(["evolve", "--tau-max", "200", "--out", str(out)]) == 1
+    assert "escaped [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    # stdout cannot be taken back: it holds the rows written before the failure
+    assert main(["evolve", "--tau-max", "200"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "tau,entanglement" and len(lines) == 1 + _BLOCK_ROWS
+
+
+def test_evolve_refuses_a_mid_grid_phase_overflow_before_writing(capsys, tmp_path):
+    # a first block of 16,384 rows passes the kernel's phase guard; only the
+    # whole grid's last phase leaves the float range, so that guard must run
+    # before any byte is written
+    args = ["evolve", "--eta", "1e305", "--tau-max", "1000"]
+    out = tmp_path / "trace.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: degenerate-eta:")
+    assert not out.exists()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: degenerate-eta:")
+    assert captured.out == ""
+
+
+def _evolve_peak(tmp_path, tau_max: str) -> int:
+    """tracemalloc peak of one in-process `evolve --tau-max tau_max --step 0.01` to a file."""
+    tracemalloc.start()
+    try:
+        assert main(["evolve", "--tau-max", tau_max, "--step", "0.01", "--out", str(tmp_path / "t.csv")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evolve_never_holds_the_whole_grid(monkeypatch, tmp_path):
+    kernel_calls, formatted = [], []
+    real_kernel, real_format = kernels.ent_trace_grid, cli_module.fmt9_block
+
+    def kernel(eta, tau0, step, n, start=0):
+        kernel_calls.append((start, n))
+        return real_kernel(eta, tau0, step, n, start=start)
+
+    def format_block(table, sep):
+        formatted.append(len(table))
+        return real_format(table, sep)
+
+    monkeypatch.setattr(kernels, "ent_trace_grid", kernel)
+    monkeypatch.setattr(cli_module, "fmt9_block", format_block)
+    out = tmp_path / "trace.csv"
+    assert main(["evolve", "--tau-max", "1500", "--step", "0.01", "--out", str(out)]) == 0
+    rows = 150_001
+    assert all(n <= _BLOCK_ROWS for _, n in kernel_calls)
+    ends = [0] + [start + n for start, n in kernel_calls]
+    assert [start for start, _ in kernel_calls] == ends[:-1] and ends[-1] == rows
+    assert formatted == [n for _, n in kernel_calls]
+    monkeypatch.undo()
+
+    # numpy reports its buffers to tracemalloc, so a whole-grid array would show
+    _evolve_peak(tmp_path, "10")  # imports and caches
+    small = _evolve_peak(tmp_path, "1000")  # 10^5 rows
+    large = _evolve_peak(tmp_path, "4000")  # 4 * 10^5 rows
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_steady_sym_preset(cli):

@@ -17,13 +17,14 @@ from fiberspin import (
     OutOfRange,
     concurrence_mixed,
     concurrence_pure,
+    entanglement_blocks,
     entanglement_trace,
     eof_from_concurrence,
     evolve_analytic,
     kernels,
     tau_star,
 )
-from fiberspin.entanglement import MAX_GRID_POINTS
+from fiberspin.entanglement import _BLOCK_ROWS, MAX_GRID_POINTS
 from fiberspin.spins import initial_coefficients
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -233,6 +234,60 @@ def test_trace_container_rejects_ragged_grid():
     taus = np.array([0.0, 0.01, 0.03])
     with pytest.raises(BadGrid):
         EntanglementTrace(eta=0.1, step=0.01, taus=taus, values=np.zeros(3))
+
+
+def test_trace_container_accepts_rounded_taus_at_the_grid_cap():
+    # the last 16,384 taus of the 2**25-point grid (tau_max = 335544.31):
+    # each k*step rounds by up to half an ulp of 3.4e5, about 2.9e-11, so
+    # neighbouring taus may differ from step by 4.9e-11, beyond 1e-9 * step
+    step = 0.01
+    taus = np.arange(MAX_GRID_POINTS - 16_384, MAX_GRID_POINTS, dtype=np.float64) * step
+    EntanglementTrace(eta=0.1, step=step, taus=taus, values=np.zeros(taus.size))
+    # a tau off by more than that rounding still fails
+    bent = taus.copy()
+    bent[100] += 1e-9 * step + 3.0 * float(np.spacing(taus[-1]))
+    with pytest.raises(BadGrid):
+        EntanglementTrace(eta=0.1, step=step, taus=bent, values=np.zeros(taus.size))
+
+
+@pytest.mark.parametrize(
+    "eta, tau_max",
+    # one short block, exactly one full block, one more point, exactly two, a
+    # partial third, and a grid whose last phase is beyond 2**60 while its
+    # first block's is not
+    [(0.3, 0.01), (0.3, 163.83), (0.3, 163.84), (0.3, 327.67), (0.3, 400.0), (1e15, 1000.0)],
+)
+def test_blocks_are_the_trace_bit_for_bit(eta, tau_max):
+    assert _BLOCK_ROWS == 16_384
+    whole = entanglement_trace(eta, tau_max, 0.01)
+    blocks = list(entanglement_blocks(eta, tau_max, 0.01))
+    assert all(b.taus.size <= _BLOCK_ROWS for b in blocks)
+    assert np.array_equal(np.concatenate([b.taus for b in blocks]), whole.taus)
+    assert np.array_equal(np.concatenate([b.values for b in blocks]), whole.values)
+
+
+def test_blocks_refuse_the_whole_grid_before_returning(monkeypatch):
+    made = []
+    real = kernels.ent_trace_grid
+
+    def kernel(eta, tau0, step, n, start=0):
+        made.append(start)
+        return real(eta, tau0, step, n, start=start)
+
+    monkeypatch.setattr(kernels, "ent_trace_grid", kernel)
+    with pytest.raises(BadGrid):
+        entanglement_blocks(0.1, 1e7, 0.01)
+    # the first block passes the kernel's phase guard; the grid's last point does not
+    kernels.check_grid(1e305, 0.0, 0.01, _BLOCK_ROWS)
+    with pytest.raises(DegenerateEta):
+        entanglement_blocks(1e305, 1000.0, 0.01)
+    assert made == []
+    # the first block is made and checked on the call, the rest as they are reached
+    blocks = entanglement_blocks(0.1, 400.0, 0.01)
+    assert made == [0]
+    next(blocks)
+    next(blocks)
+    assert made == [0, _BLOCK_ROWS]
 
 
 def test_small_eta_stays_unentangled():

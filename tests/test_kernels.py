@@ -7,7 +7,7 @@ import pytest
 
 from fiberspin import backend, concurrence_pure, eof_from_concurrence, evolve_analytic
 from fiberspin.errors import BadGrid, DegenerateEta
-from fiberspin.kernels import BLOCK, conc2_block_max, ent_trace_grid, trace_constants
+from fiberspin.kernels import BLOCK, check_grid, conc2_block_max, ent_trace_grid, trace_constants
 
 #: etas of the long-time agreement checks, from nearly unentangling to fast beats
 ROUTE_ETAS = (1e-3, 0.05, 0.1, 0.3, 0.8, 2.0)
@@ -105,9 +105,33 @@ def test_grid_guards():
         ent_trace_grid(0.0, 0.0, 0.01, 10)
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((0.1, 0.0, 0.01, 0), BadGrid),
+        ((0.1, 0.0, -0.01, 10), BadGrid),
+        ((0.1, math.nan, 0.01, 10), BadGrid),
+        ((0.1, 0.0, 0.01, 10, 5), BadGrid),
+        ((0.1, 0.0, 0.01, 10, -BLOCK), BadGrid),
+        ((0.0, 0.0, 0.01, 10), DegenerateEta),
+        ((1.7e308, 0.0, 0.01, 10), DegenerateEta),
+        ((1e300, 1e10, 0.01, 10), DegenerateEta),
+        # only the last point's phase overflows, at k = start + n
+        ((1e305, 0.0, 0.01, BLOCK, 99 * BLOCK), DegenerateEta),
+    ],
+)
+def test_check_grid_refuses_what_the_kernel_refuses(args, error):
+    with pytest.raises(error):
+        ent_trace_grid(*args)
+    with pytest.raises(error):
+        check_grid(*args)
+
+
 def test_block_calls_match_the_full_grid_bit_for_bit():
     n = 5 * BLOCK + 321
-    for eta, tau0 in ((0.37, 0.0), (1.9, 12.5)):
+    # at eta = 1.3e15, tau0 = 210.3 the phase passes 2**60 between blocks 1 and 2
+    # of the grid, where the blocks stop carrying rounding-error terms
+    for eta, tau0 in ((0.37, 0.0), (1.9, 12.5), (1.3e15, 210.3)):
         full = ent_trace_grid(eta, tau0, 0.01, n)
         for b in range(6):
             lo = b * BLOCK

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberspin import network
 from fiberspin import (
     NegativeLoss,
     NetworkParams,
@@ -125,6 +126,30 @@ def test_linear_response_oracle_matches_four_sign_difference():
         term_scale = p.gamma * p.chi**2 * (abs(r.theta1) + abs(r.theta2))
         scale = max(abs(r.j_oracle), abs(reference), 1e-3 * term_scale)
         assert abs(r.j_oracle - reference) <= 1e-10 * scale
+
+
+def test_coupling_computes_d_and_each_fiber_factor_once(monkeypatch):
+    # the public routes give the same bits; coupling only shares what they recompute
+    for params in (SYM, ASYM, dict(ASYM, gamma_f=0.2)):
+        p = NetworkParams(**params)
+        r = coupling(p)
+        s = steady_fields(p)
+        assert (r.theta1, r.theta2) == theta_variants(p, s)
+        c = fluctuation_coefficients(p, s)
+        oracle = (s.alpha.conjugate() * c.c_a2).real + (s.beta.conjugate() * c.c_b1).real
+        assert r.j_oracle == p.chi * oracle
+        calls = {}
+        for name in ("denominator", "_hop12", "_hop21"):
+            real = getattr(network, name)
+
+            def counted(q, _name=name, _real=real):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(q)
+
+            monkeypatch.setattr(network, name, counted)
+        assert coupling(p) == r
+        assert calls == {"denominator": 1, "_hop12": 1, "_hop21": 1}
+        monkeypatch.undo()
 
 
 def test_fluctuation_routes_agree():
