@@ -26,16 +26,28 @@ phi12 + phi21 = 2*atan2(delta, gamma) with a lossless fiber. The
 single-theta shortcut gamma*chi^2*theta1 is reported alongside for
 comparison; off the manifold it is not the coupling that the
 elimination actually produces.
+
+NetworkParams holds one parameter set as floats or a stack of them as
+equal-length 1-d arrays, and coupling, steady_fields, denominator,
+theta_variants and fluctuation_coefficients take either. They compute on
+the parts core of numerics: every complex product, quotient and
+exponential is spelled out over (re, im) parts in CPython's own order,
+so a set gets the same bits alone as at any position in a stack, and
+the same bits as plain Python complex arithmetic. A stack raises the
+error its first failing set would raise alone. A stack costs a fixed
+number of numpy calls whatever its length, so a caller with many sets
+should stack them rather than loop over them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import NegativeLoss, ResonantRecycling
-from .numerics import solve2
+from .numerics import _mul, _parts_of, _solve2, _split, _sub, solve2
 
 TWOPI = 2.0 * math.pi
 
@@ -45,12 +57,19 @@ EPS_SINGULAR = 1e-9
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Parameters of the fiber-linked cavity pair.
+    """Parameters of the fiber-linked cavity pair, one set or a stack of them.
 
     All rates (gamma, delta, chi, drive) share one unit system, named by
     the units tag; the physics only depends on their ratios. Phases are
     stored reduced to [0, 2*pi). gamma_f is the dimensionless amplitude
     loss exponent per fiber traversal.
+
+    Scalars give one set, stored as floats and a complex drive. If any
+    field is an array, list or tuple, the set is a stack: every field
+    becomes a float64 (drive: complex128) array of one common length, a
+    scalar field repeated over it. A stack compares field by field, not
+    with ==. The checks apply to each set, and a stack raises the error
+    its first failing set would raise alone.
     """
 
     gamma: float
@@ -63,24 +82,31 @@ class NetworkParams:
     units: str = "arb"
 
     def __post_init__(self):
-        finite = math.isfinite
-        if not (
-            finite(self.gamma)
-            and finite(self.delta)
-            and finite(self.chi)
-            and finite(self.phi12)
-            and finite(self.phi21)
-            and finite(self.gamma_f)
-            and cmath.isfinite(self.drive)
-        ):
+        names = ("gamma", "delta", "chi", "drive", "phi12", "phi21", "gamma_f")
+        raw = [getattr(self, name) for name in names]
+        if any(isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim) for v in raw):
+            arrays = [np.asarray(v) for v in raw]
+            if any(a.ndim > 1 for a in arrays):
+                raise ValueError("network parameters must be scalars or 1-d arrays")
+            values = [
+                np.array(a, dtype=np.complex128 if name == "drive" else np.float64)
+                for name, a in zip(names, np.broadcast_arrays(*arrays))
+            ]
+        else:
+            values = [complex(v) if name == "drive" else float(v) for name, v in zip(names, raw)]
+        gamma, delta, chi, drive, phi12, phi21, gamma_f = values
+        ops = _parts_of(gamma)
+        if ops.first(ops.nonfinite(gamma, delta, chi, *_split(drive), phi12, phi21, gamma_f)) is not None:
             raise ValueError("non-finite network parameter")
-        if self.gamma < 0.0:
-            raise ValueError(f"cavity decay rate must be >= 0, got {self.gamma!r}")
-        if self.gamma_f < 0.0:
-            raise NegativeLoss(f"fiber loss exponent must be >= 0, got {self.gamma_f!r}")
-        object.__setattr__(self, "drive", complex(self.drive))
-        object.__setattr__(self, "phi12", self.phi12 % TWOPI)
-        object.__setattr__(self, "phi21", self.phi21 % TWOPI)
+        bad = ops.first(gamma < 0.0, gamma)
+        if bad is not None:
+            raise ValueError(f"cavity decay rate must be >= 0, got {bad[0]!r}")
+        bad = ops.first(gamma_f < 0.0, gamma_f)
+        if bad is not None:
+            raise NegativeLoss(f"fiber loss exponent must be >= 0, got {bad[0]!r}")
+        values[4], values[5] = phi12 % TWOPI, phi21 % TWOPI
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -123,24 +149,29 @@ class CouplingResult:
     local2: float
 
 
-def _mu(p: NetworkParams) -> complex:
-    # complex cavity response gamma + i*delta
-    return complex(p.gamma, p.delta)
+# The private helpers below take and return (re, im) parts: floats for one
+# parameter set, float64 arrays for a stack. The public functions convert
+# at their boundary.
 
 
-def _hop12(p: NetworkParams) -> complex:
-    # fiber transfer factor for the 1 -> 2 direction
-    return cmath.exp(complex(-p.gamma_f, p.phi12))
+def _hop12(p: NetworkParams):
+    # fiber transfer factor exp(i*phi12 - gamma_f) for the 1 -> 2 direction
+    return _parts_of(p.gamma).expcis(-p.gamma_f, p.phi12)
 
 
-def _hop21(p: NetworkParams) -> complex:
-    return cmath.exp(complex(-p.gamma_f, p.phi21))
+def _hop21(p: NetworkParams):
+    return _parts_of(p.gamma).expcis(-p.gamma_f, p.phi21)
 
 
 def denominator(p: NetworkParams) -> complex:
-    """Steady-state denominator D = (gamma+i*delta)^2 - gamma^2*exp(i(phi12+phi21) - 2*gamma_f)."""
-    mu = _mu(p)
-    return mu * mu - p.gamma * p.gamma * cmath.exp(complex(-2.0 * p.gamma_f, p.phi12 + p.phi21))
+    """Steady-state denominator D = (gamma+i*delta)^2 - gamma^2*exp(i(phi12+phi21) - 2*gamma_f).
+
+    A complex for one parameter set, a complex array for a stack.
+    """
+    ops = _parts_of(p.gamma)
+    mu = (p.gamma, p.delta)
+    loop = ops.expcis(-2.0 * p.gamma_f, p.phi12 + p.phi21)
+    return ops.pack(*_sub(_mul(mu, mu), _mul((p.gamma * p.gamma, 0.0), loop)))
 
 
 def steady_fields(p: NetworkParams) -> SteadyFields:
@@ -153,22 +184,28 @@ def steady_fields(p: NetworkParams) -> SteadyFields:
     Raises ResonantRecycling when |D| <= 1e-9*(gamma^2+delta^2), the
     neighborhood of the recycling resonance where the fields diverge.
     """
-    return _steady(p, denominator(p), _hop21(p))
+    ops = _parts_of(p.gamma)
+    alpha, beta = _steady(p, _split(denominator(p)), _hop21(p))
+    return SteadyFields(alpha=ops.pack(*alpha), beta=ops.pack(*beta))
 
 
-def _steady(p: NetworkParams, d: complex, hop21: complex) -> SteadyFields:
-    """steady_fields, given D and the 2 -> 1 fiber factor."""
-    mu = _mu(p)
+def _steady(p: NetworkParams, d, hop21):
+    """(alpha, beta) of steady_fields, given the parts of D and of the 2 -> 1 fiber factor."""
+    ops = _parts_of(p.gamma)
+    mu = (p.gamma, p.delta)
     scale = p.gamma * p.gamma + p.delta * p.delta
-    if abs(d) <= EPS_SINGULAR * scale:
+    d_mod = ops.mod(d)
+    bad = ops.first(d_mod <= EPS_SINGULAR * scale, d_mod, scale)
+    if bad is not None:
+        d_mod, scale = bad
         raise ResonantRecycling(
-            f"steady-state denominator |D| = {abs(d):.3e} <= {EPS_SINGULAR:.0e}*(gamma^2+delta^2)"
+            f"steady-state denominator |D| = {d_mod:.3e} <= {EPS_SINGULAR:.0e}*(gamma^2+delta^2)"
             f" = {EPS_SINGULAR * scale:.3e}; drive recycles resonantly as delta -> 0 with"
             f" phi12+phi21 -> 0 (mod 2*pi)"
         )
-    alpha = p.drive * mu / d
-    beta = p.gamma * alpha * hop21 / mu
-    return SteadyFields(alpha=alpha, beta=beta)
+    alpha = ops.quot(_mul(_split(p.drive), mu), d)
+    beta = ops.quot(_mul(_mul((p.gamma, 0.0), alpha), hop21), mu)
+    return alpha, beta
 
 
 def validate_regime(p: NetworkParams, s: SteadyFields) -> list[str]:
@@ -176,6 +213,7 @@ def validate_regime(p: NetworkParams, s: SteadyFields) -> list[str]:
 
     Returns warning strings (empty list when comfortably inside the
     regime); never raises. Each string names the violated inequality.
+    One parameter set only.
     """
     notes: list[str] = []
     if p.chi == 0.0:
@@ -206,20 +244,32 @@ def fluctuation_coefficients(p: NetworkParams, s: SteadyFields) -> FluctuationCo
     for unit source vectors sz1 = 1 and sz2 = 1 via solve2, giving the
     decomposition a = c_a1*sz1 + c_a2*sz2, b = c_b1*sz1 + c_b2*sz2.
     """
-    return _fluctuations(p, s, _hop12(p), _hop21(p))
+    ops = _parts_of(p.gamma)
+    c = _fluctuations(p, _split(s.alpha), _split(s.beta), _hop12(p), _hop21(p))
+    return FluctuationCoefficients(*(ops.pack(*z) for z in c))
 
 
-def _fluctuations(
-    p: NetworkParams, s: SteadyFields, hop12: complex, hop21: complex
-) -> FluctuationCoefficients:
-    """fluctuation_coefficients, given the fiber factors; never uses D or the thetas."""
-    mu = _mu(p)
-    m = [[mu, -p.gamma * hop12], [-p.gamma * hop21, mu]]
-    src1 = (-1j * p.chi * s.alpha, 0.0)
-    src2 = (0.0, -1j * p.chi * s.beta)
-    a1, b1 = solve2(m, src1).tolist()
-    a2, b2 = solve2(m, src2).tolist()
-    return FluctuationCoefficients(c_a1=a1, c_a2=a2, c_b1=b1, c_b2=b2)
+def _solve(m, rhs):
+    """solve2 on parts: its core for one system, the public routine for a stack."""
+    if isinstance(m[0][0], float):
+        return _solve2(*m, *rhs)
+    a = np.empty((len(m[0][0]), 6), dtype=np.complex128)
+    for k, (re, im) in enumerate((*m, *rhs)):
+        a.real[:, k], a.imag[:, k] = re, im
+    x = solve2(a[:, :4].reshape(-1, 2, 2), a[:, 4:])
+    return _split(x[:, 0]), _split(x[:, 1])
+
+
+def _fluctuations(p: NetworkParams, alpha, beta, hop12, hop21):
+    """(c_a1, c_a2, c_b1, c_b2) of fluctuation_coefficients, given the fiber factors; never uses D or the thetas."""
+    mu = (p.gamma, p.delta)
+    m = (mu, _mul((-p.gamma, 0.0), hop12), _mul((-p.gamma, 0.0), hop21), mu)
+    # -1j * chi, as Python forms it: (-0.0 - 1j) * (chi + 0j)
+    k = _mul((-0.0, -1.0), (p.chi, 0.0))
+    zero = (0.0, 0.0)
+    a1, b1 = _solve(m, (_mul(k, alpha), zero))
+    a2, b2 = _solve(m, (zero, _mul(k, beta)))
+    return a1, a2, b1, b2
 
 
 def fluctuation_coefficients_closed(p: NetworkParams, s: SteadyFields) -> FluctuationCoefficients:
@@ -227,15 +277,18 @@ def fluctuation_coefficients_closed(p: NetworkParams, s: SteadyFields) -> Fluctu
 
     c_a1 = -i*chi*alpha*(gamma+i*delta)/D     c_a2 = -i*chi*beta*gamma*e^{i*phi12-gamma_f}/D
     c_b1 = -i*chi*alpha*gamma*e^{i*phi21-gamma_f}/D   c_b2 = -i*chi*beta*(gamma+i*delta)/D
+
+    Plain complex arithmetic, for one parameter set.
     """
     d = denominator(p)
-    mu = _mu(p)
+    mu = complex(p.gamma, p.delta)
+    hop12, hop21 = complex(*_hop12(p)), complex(*_hop21(p))
     ka = -1j * p.chi * s.alpha
     kb = -1j * p.chi * s.beta
     return FluctuationCoefficients(
         c_a1=ka * mu / d,
-        c_a2=kb * p.gamma * _hop12(p) / d,
-        c_b1=ka * p.gamma * _hop21(p) / d,
+        c_a2=kb * p.gamma * hop12 / d,
+        c_b1=ka * p.gamma * hop21 / d,
         c_b2=kb * mu / d,
     )
 
@@ -248,13 +301,14 @@ def theta_variants(p: NetworkParams, s: SteadyFields) -> tuple[float, float]:
     between them is assumed; they coincide only on the symmetric
     manifold (see module docstring).
     """
-    return _thetas(s, denominator(p), _hop12(p), _hop21(p))
+    return _thetas(p, _split(s.alpha), _split(s.beta), _split(denominator(p)), _hop12(p), _hop21(p))
 
 
-def _thetas(s: SteadyFields, d: complex, hop12: complex, hop21: complex) -> tuple[float, float]:
-    """theta_variants, given D and the fiber factors."""
-    t1 = (s.alpha.conjugate() * s.beta * hop12 / d).imag
-    t2 = (s.alpha * s.beta.conjugate() * hop21 / d).imag
+def _thetas(p: NetworkParams, alpha, beta, d, hop12, hop21):
+    """theta_variants, given the parts of the fields, of D and of the fiber factors."""
+    quot = _parts_of(p.gamma).quot
+    t1 = quot(_mul(_mul((alpha[0], -alpha[1]), beta), hop12), d)[1]
+    t2 = quot(_mul(_mul(alpha, (beta[0], -beta[1])), hop21), d)[1]
     return t1, t2
 
 
@@ -277,13 +331,19 @@ def coupling(p: NetworkParams) -> CouplingResult:
     The closed forms fill the rest of the result. D and each fiber factor
     are computed once per call and shared by the routes that use them; the
     oracle takes only the fiber factors, which its system matrix holds.
+    For a stack of parameter sets every field of the result is an array,
+    and the call makes the same number of D, fiber-factor and solve2
+    calls as for one set.
     """
-    d = denominator(p)
+    ops = _parts_of(p.gamma)
+    d = _split(denominator(p))
     hop12, hop21 = _hop12(p), _hop21(p)
-    s = _steady(p, d, hop21)
-    c = _fluctuations(p, s, hop12, hop21)
-    j_oracle = p.chi * ((s.alpha.conjugate() * c.c_a2).real + (s.beta.conjugate() * c.c_b1).real)
-    t1, t2 = _thetas(s, d, hop12, hop21)
+    alpha, beta = _steady(p, d, hop21)
+    _, c_a2, c_b1, _ = _fluctuations(p, alpha, beta, hop12, hop21)
+    j_oracle = p.chi * (
+        _mul((alpha[0], -alpha[1]), c_a2)[0] + _mul((beta[0], -beta[1]), c_b1)[0]
+    )
+    t1, t2 = _thetas(p, alpha, beta, d, hop12, hop21)
     gc2 = p.gamma * p.chi * p.chi
     return CouplingResult(
         j_oracle=j_oracle,
@@ -291,8 +351,8 @@ def coupling(p: NetworkParams) -> CouplingResult:
         theta2=t2,
         j_closed=gc2 * (t1 + t2),
         j_single=gc2 * t1,
-        local1=p.chi * abs(s.alpha) ** 2,
-        local2=p.chi * abs(s.beta) ** 2,
+        local1=p.chi * ops.square(ops.mod(alpha)),
+        local2=p.chi * ops.square(ops.mod(beta)),
     )
 
 

@@ -6,16 +6,30 @@ two-qubit Hamiltonian and density matrices. The eigensolver is a cyclic
 complex Jacobi iteration rather than a LAPACK call so that results are
 bit-reproducible across BLAS builds and thread counts.
 
-solve2 checks its input as numpy arrays, then computes on plain Python
-complex and float values: at size 2 a numpy operation costs far more in
-dispatch than in arithmetic. eig_hermitian4 takes one (4, 4) matrix or
-an (n, 4, 4) stack and runs the same sweeps on the whole stack at once,
-so a self-check over a thousand matrices costs a few dozen numpy calls
-per rotation rather than a thousand Python loops. It spells every
-complex product out in real float64 arithmetic, with no complex numpy
-ufunc (whose vector loops may fuse a multiply and an add), so each
-matrix's result depends only on its own input bits, alone or in any
-stack.
+solve2 and the network formulas share one parts core: complex arithmetic
+written once over (re, im) pairs whose parts are Python floats for one
+system or equal-length float64 arrays for a stack of them. Products and
+sums follow CPython's complex type, (ac - bd, ad + bc), and numpy rounds
+each element of an add, subtract or multiply exactly as float arithmetic
+does, so one expression gives a system the same bits alone as at any
+position in any stack, and the same bits as Python complex arithmetic.
+The few steps that need different code for floats and for arrays, among
+them the two-branch quotient, exp(x)*cis(phi), the modulus and the
+reduction behind each guard, are the primitives of _FloatParts and
+_StackParts: on floats they are CPython's own operations, on arrays the
+same libm calls and the same branches element by element. A modulus or
+square that leaves the float range reads inf in both. On floats the core
+makes no numpy call, because at size 2 a numpy operation costs far more
+in dispatch than in arithmetic; on a stack each step is one numpy call
+over every system. solve2 takes one (2, 2) system or an (n, 2, 2) stack.
+
+eig_hermitian4 takes one (4, 4) matrix or an (n, 4, 4) stack and runs the
+same sweeps on the whole stack at once, so a self-check over a thousand
+matrices costs a few dozen numpy calls per rotation rather than a
+thousand Python loops. It spells every complex product out in real
+float64 arithmetic, with no complex numpy ufunc (whose vector loops may
+fuse a multiply and an add), so each matrix's result depends only on its
+own input bits, alone or in any stack.
 
 Both routines rescale by an exact power of two where needed, so entries
 near either end of the float range neither overflow nor go subnormal
@@ -55,27 +69,225 @@ _SOLVE2_SAFE_LO = 2.0**-400
 _SOLVE2_SAFE_HI = 2.0**400
 
 
-def _ldexp_complex(z: complex, k: int) -> complex:
-    """z * 2**k, exact unless the result leaves the normal float range."""
-    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+def _mul(a, b):
+    """a * b on (re, im) pairs, as CPython's complex product: (ac - bd, ad + bc)."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _exponent(values) -> int:
-    """Binary exponent e with every real and imaginary part below 2**e in magnitude."""
-    return math.frexp(max(max(abs(z.real), abs(z.imag)) for z in values))[1]
+def _sub(a, b):
+    """a - b on (re, im) pairs."""
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _split(z):
+    """(re, im) of a Python complex, or float64 views of a complex array's parts."""
+    return z.real, z.imag
+
+
+class _FloatParts:
+    """The primitives of the parts core on Python floats: one system."""
+
+    @staticmethod
+    def quot(a, b):
+        # CPython's own complex division; every divisor the core passes
+        # is nonzero by a guard before it
+        z = complex(*a) / complex(*b)
+        return z.real, z.imag
+
+    @staticmethod
+    def expcis(x, phi):
+        z = cmath.exp(complex(x, phi))
+        return z.real, z.imag
+
+    @staticmethod
+    def mod(z):
+        """|z| as abs(complex), or inf where that overflows."""
+        try:
+            return abs(complex(*z))
+        except OverflowError:
+            return math.inf
+
+    @staticmethod
+    def square(x):
+        """x ** 2 as float power, or inf where that overflows."""
+        try:
+            return x**2
+        except OverflowError:
+            return math.inf
+
+    @staticmethod
+    def ldexp(z, k):
+        """z * 2**k on both parts; OverflowError if a part leaves the float range."""
+        return math.ldexp(z[0], k), math.ldexp(z[1], k)
+
+    @staticmethod
+    def exponent(*parts):
+        """Binary exponent e with every part below 2**e in magnitude."""
+        return math.frexp(max(map(abs, parts)))[1]
+
+    @staticmethod
+    def nonfinite(*parts):
+        return not all(map(math.isfinite, parts))
+
+    @staticmethod
+    def max(*values):
+        return max(values)
+
+    @staticmethod
+    def first(mask, *values):
+        """values if the system's guard mask is set, else None."""
+        return values if mask else None
+
+    @staticmethod
+    def pack(re, im):
+        return complex(re, im)
+
+
+class _StackParts:
+    """The same primitives on float64 arrays: each element gets _FloatParts' bits."""
+
+    @staticmethod
+    def quot(a, b):
+        # _Py_c_quot's two branches, each over the whole stack; a system
+        # takes the branch CPython takes for it, and the other one may
+        # divide by zero or overflow unseen
+        (ar, ai), (br, bi) = a, b
+        with np.errstate(all="ignore"):
+            r1 = bi / br
+            d1 = br + bi * r1
+            r2 = br / bi
+            d2 = br * r2 + bi
+            by_re = np.abs(br) >= np.abs(bi)
+            return (
+                np.where(by_re, (ar + ai * r1) / d1, (ar * r2 + ai) / d2),
+                np.where(by_re, (ai - ar * r1) / d1, (ai * r2 - ar) / d2),
+            )
+
+    @staticmethod
+    def expcis(x, phi):
+        # libm's exp, cos and sin, which cmath.exp calls for x <= 0: numpy's
+        # vectorized exp differs from libm in the last bit for some inputs
+        n = len(phi)
+        if isinstance(x, float):
+            scale = math.exp(x)
+        else:
+            scale = np.fromiter(map(math.exp, x.tolist()), np.float64, n)
+        phis = phi.tolist()
+        return (
+            scale * np.fromiter(map(math.cos, phis), np.float64, n),
+            scale * np.fromiter(map(math.sin, phis), np.float64, n),
+        )
+
+    @staticmethod
+    def mod(z):
+        # numpy's hypot is libm's, which abs(complex) calls
+        with np.errstate(over="ignore"):
+            return np.hypot(*z)
+
+    @staticmethod
+    def square(x):
+        # libm's pow, which float ** calls; x * x rounds differently for some x
+        with np.errstate(over="ignore"):
+            return np.float_power(x, 2.0)
+
+    @staticmethod
+    def ldexp(z, k):
+        with np.errstate(over="ignore"):
+            out = np.ldexp(z[0], k), np.ldexp(z[1], k)
+        if not np.isfinite(out).all() and (np.isinf(out) & np.isfinite(z)).any():
+            raise OverflowError("math range error")
+        return out
+
+    @staticmethod
+    def exponent(*parts):
+        return np.frexp(np.max(np.abs(parts), axis=0))[1]
+
+    @staticmethod
+    def nonfinite(*parts):
+        return ~np.isfinite(parts).all(axis=0)
+
+    @staticmethod
+    def max(*values):
+        return np.max(values, axis=0)
+
+    @staticmethod
+    def first(mask, *values):
+        """None if no system's guard mask is set, else values at the first one that is."""
+        if not mask.any():
+            return None
+        i = int(mask.argmax())
+        return tuple(v[i].item() if isinstance(v, np.ndarray) else v for v in values)
+
+    @staticmethod
+    def pack(re, im):
+        z = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
+        z.real, z.imag = re, im
+        return z
+
+
+def _parts_of(x):
+    """The primitives for a part: _FloatParts for a Python float, else _StackParts."""
+    return _FloatParts if isinstance(x, float) else _StackParts
+
+
+def _solve2(a00, a01, a10, a11, b0, b1):
+    """Cramer's rule on (re, im) pairs, for one system or a stack; see solve2.
+
+    Every guard and the rescaling apply to each system on its own, so a
+    system gets the same result, or raises the same error, alone as
+    anywhere in a stack.
+    """
+    ops = _parts_of(a00[0])
+    m_parts = (*a00, *a01, *a10, *a11)
+    if ops.first(ops.nonfinite(*m_parts, *b0, *b1)) is not None:
+        raise ValueError("non-finite entries in linear system")
+    # a modulus beyond the float range reads inf, which only the rescaled
+    # path can cope with
+    scale = ops.max(ops.mod(a00), ops.mod(a01), ops.mod(a10), ops.mod(a11))
+    rhs_scale = ops.max(ops.mod(b0), ops.mod(b1))
+    lo, hi = _SOLVE2_SAFE_LO, _SOLVE2_SAFE_HI
+    outside = (scale <= lo) | (scale >= hi) | ((rhs_scale != 0.0) & ((rhs_scale <= lo) | (rhs_scale >= hi)))
+    ea = eb = 0
+    if ops.first(outside) is not None:
+        # the largest parts of m*2**-ea and rhs*2**-eb lie in [0.5, 1);
+        # scaling by powers of two commutes with every rounding below, so
+        # the scaled solution times 2**(eb - ea) has the bits a run without
+        # overflow or underflow would give. A system inside the band keeps
+        # ea = eb = 0, and with it its unscaled entries.
+        ea = outside * ops.exponent(*m_parts)
+        eb = outside * ops.exponent(*b0, *b1)
+        a00, a01, a10, a11 = (ops.ldexp(z, -ea) for z in (a00, a01, a10, a11))
+        b0, b1 = ops.ldexp(b0, -eb), ops.ldexp(b1, -eb)
+        scale = ops.max(ops.mod(a00), ops.mod(a01), ops.mod(a10), ops.mod(a11))
+    det = _sub(_mul(a00, a11), _mul(a01, a10))
+    det_mod = ops.mod(det)
+    bad = ops.first(det_mod <= SOLVE2_EPS * scale * scale, det_mod, scale, ea)
+    if bad is not None:
+        det_mod, scale, ea = bad
+        raise SingularSystem(
+            f"|det| = {det_mod:.3e} <= {SOLVE2_EPS:.0e} * {scale * scale:.3e}"
+            + (f" after scaling m by 2**{-ea}" if ea else "")
+        )
+    x0 = ops.quot(_sub(_mul(b0, a11), _mul(a01, b1)), det)
+    x1 = ops.quot(_sub(_mul(a00, b1), _mul(b0, a10)), det)
+    return ops.ldexp(x0, eb - ea), ops.ldexp(x1, eb - ea)
 
 
 def solve2(m, rhs) -> np.ndarray:
-    """Solve a 2x2 complex linear system by Cramer's rule.
+    """Solve a 2x2 complex linear system by Cramer's rule, or a stack of them.
 
     Parameters
     ----------
-    m : array_like, shape (2, 2), complex
-    rhs : array_like, shape (2,), complex
+    m : array_like, shape (2, 2) or (n, 2, 2), complex
+    rhs : array_like, shape (2,) or (n, 2), complex
 
     Returns
     -------
-    ndarray, shape (2,), complex128
+    ndarray, shape (2,) or (n, 2), complex128
+
+    Each system of a stack gets the same bits as it would alone, and a
+    stack raises the error its first failing system would raise alone.
 
     Raises
     ------
@@ -89,46 +301,13 @@ def solve2(m, rhs) -> np.ndarray:
     """
     a = np.asarray(m, dtype=np.complex128)
     b = np.asarray(rhs, dtype=np.complex128)
-    if a.shape != (2, 2) or b.shape != (2,):
-        raise ValueError(f"expected shapes (2,2) and (2,), got {a.shape} and {b.shape}")
-    (a00, a01), (a10, a11) = a.tolist()
-    b0, b1 = b.tolist()
-    finite = cmath.isfinite
-    if not (
-        finite(a00) and finite(a01) and finite(a10) and finite(a11) and finite(b0) and finite(b1)
-    ):
-        raise ValueError("non-finite entries in linear system")
-    try:
-        scale = max(abs(a00), abs(a01), abs(a10), abs(a11))
-        rhs_scale = max(abs(b0), abs(b1))
-    except OverflowError:
-        # a modulus beyond the float range: only the rescaled path can cope
-        scale = rhs_scale = math.inf
-    ea = eb = 0
-    if not (
-        _SOLVE2_SAFE_LO < scale < _SOLVE2_SAFE_HI
-        and (rhs_scale == 0.0 or _SOLVE2_SAFE_LO < rhs_scale < _SOLVE2_SAFE_HI)
-    ):
-        # the largest parts of m*2**-ea and rhs*2**-eb lie in [0.5, 1);
-        # scaling by powers of two commutes with every rounding below, so
-        # the scaled solution times 2**(eb - ea) has the bits a run without
-        # overflow or underflow would give
-        ea = _exponent((a00, a01, a10, a11))
-        eb = _exponent((b0, b1))
-        a00, a01, a10, a11 = (_ldexp_complex(z, -ea) for z in (a00, a01, a10, a11))
-        b0, b1 = _ldexp_complex(b0, -eb), _ldexp_complex(b1, -eb)
-        scale = max(abs(a00), abs(a01), abs(a10), abs(a11))
-    det = a00 * a11 - a01 * a10
-    if abs(det) <= SOLVE2_EPS * scale * scale:
-        raise SingularSystem(
-            f"|det| = {abs(det):.3e} <= {SOLVE2_EPS:.0e} * {scale * scale:.3e}"
-            + (f" after scaling m by 2**{-ea}" if ea else "")
-        )
-    x0 = (b0 * a11 - a01 * b1) / det
-    x1 = (a00 * b1 - b0 * a10) / det
-    if eb != ea:
-        x0, x1 = _ldexp_complex(x0, eb - ea), _ldexp_complex(x1, eb - ea)
-    return np.array([x0, x1], dtype=np.complex128)
+    if a.shape == (2, 2) and b.shape == (2,):
+        x0, x1 = _solve2(*map(_split, a.ravel().tolist()), *map(_split, b.tolist()))
+        return np.array([complex(*x0), complex(*x1)])
+    if a.ndim != 3 or a.shape[1:] != (2, 2) or b.shape != (len(a), 2):
+        raise ValueError(f"expected shapes (2,2) and (2,) or (n,2,2) and (n,2), got {a.shape} and {b.shape}")
+    x0, x1 = _solve2(*(_split(a[:, i, j]) for i in (0, 1) for j in (0, 1)), _split(b[:, 0]), _split(b[:, 1]))
+    return np.stack((_StackParts.pack(*x0), _StackParts.pack(*x1)), axis=1)
 
 
 @dataclass(frozen=True)

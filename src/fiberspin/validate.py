@@ -16,7 +16,7 @@ import numpy as np
 from .entanglement import concurrence_mixed, concurrence_pure
 from .errors import OutOfRange
 from .network import NetworkParams, coupling, denominator
-from .numerics import eig_hermitian4, propagate
+from .numerics import _mul, _split, _StackParts, eig_hermitian4, propagate
 from .spins import (
     SpinParams,
     analytic_eigensystem,
@@ -69,8 +69,18 @@ def _worst(*figures) -> float:
     return float(np.max([np.max(f, initial=0.0) for f in figures], initial=0.0))
 
 
-def sample_params(rng: np.random.Generator, n: int) -> list[NetworkParams]:
-    """n random network parameter sets away from the recycling singularity.
+def _params_from_draws(draws: np.ndarray) -> NetworkParams:
+    """The stacked parameter sets of rows of eight mapped uniforms, in _SAMPLE_RANGES order."""
+    gamma, delta, chi, mod, arg, phi12, phi21, gamma_f = draws.T
+    # mod * complex(cos(arg), sin(arg)), on the parts
+    drive = _StackParts.pack(*_mul((mod, 0.0), _StackParts.expcis(0.0, arg)))
+    return NetworkParams(
+        gamma=gamma, delta=delta, chi=chi, drive=drive, phi12=phi12, phi21=phi21, gamma_f=gamma_f
+    )
+
+
+def sample_params(rng: np.random.Generator, n: int) -> NetworkParams:
+    """A stack of n random network parameter sets away from the recycling singularity.
 
     Each attempt takes eight doubles of the stream and maps them as
     low + (high - low) * u, the same arithmetic on the same stream as
@@ -80,43 +90,38 @@ def sample_params(rng: np.random.Generator, n: int) -> list[NetworkParams]:
     and the stream left behind are bit-identical to drawing attempt
     after attempt until n are accepted.
     """
-    accepted: list[NetworkParams] = []
-    while len(accepted) < n:
-        draws = _SAMPLE_LOW + _SAMPLE_SPAN * rng.random((n - len(accepted), 8))
-        for gamma, delta, chi, mod, arg, phi12, phi21, gamma_f in draws.tolist():
-            p = NetworkParams(
-                gamma=gamma,
-                delta=delta,
-                chi=chi,
-                drive=mod * complex(math.cos(arg), math.sin(arg)),
-                phi12=phi12,
-                phi21=phi21,
-                gamma_f=gamma_f,
-            )
-            if abs(denominator(p)) > _SAMPLE_GUARD * (gamma * gamma + delta * delta):
-                accepted.append(p)
-    return accepted
+    accepted = []
+    missing = n
+    while missing > 0:
+        draws = _SAMPLE_LOW + _SAMPLE_SPAN * rng.random((missing, 8))
+        gamma, delta = draws[:, 0], draws[:, 1]
+        d = _split(denominator(_params_from_draws(draws)))
+        keep = _StackParts.mod(d) > _SAMPLE_GUARD * (gamma * gamma + delta * delta)
+        accepted.append(draws[keep])
+        missing -= int(np.count_nonzero(keep))
+    return _params_from_draws(np.concatenate(accepted) if accepted else np.empty((0, 8)))
 
 
-def _coupling_mismatch(p: NetworkParams) -> float:
-    """Scaled defect of the oracle identity j_oracle == gamma*chi^2*(theta1+theta2).
+def _coupling_mismatch(p: NetworkParams) -> np.ndarray:
+    """Scaled defect of the oracle identity j_oracle == gamma*chi^2*(theta1+theta2), per set of a stack.
 
     The defect is measured against the larger of the two J values or,
     when they cancel toward zero, against a thousandth of the summed
     theta magnitudes, which is the scale roundoff actually lives on.
     """
     r = coupling(p)
-    term_scale = p.gamma * p.chi * p.chi * (abs(r.theta1) + abs(r.theta2))
-    scale = max(abs(r.j_oracle), abs(r.j_closed), 1e-3 * term_scale, 1e-300)
-    return abs(r.j_oracle - r.j_closed) / scale
+    term_scale = p.gamma * p.chi * p.chi * (np.abs(r.theta1) + np.abs(r.theta2))
+    scale = np.maximum(np.maximum(np.abs(r.j_oracle), np.abs(r.j_closed)), np.maximum(1e-3 * term_scale, 1e-300))
+    return np.abs(r.j_oracle - r.j_closed) / scale
 
 
 def suite_oracle_identity(rng: np.random.Generator, samples: int = 10_000, tol: float = 1e-10) -> SuiteResult:
     mismatches = []
     for lo in range(0, samples, _ORACLE_CHUNK):
-        # a chunk at a time, so only one chunk of parameter sets is alive
-        mismatches += [_coupling_mismatch(p) for p in sample_params(rng, min(_ORACLE_CHUNK, samples - lo))]
-    worst = _worst(mismatches)
+        # one stack of parameter sets and one coupling call per chunk, so
+        # only one chunk of sets is alive
+        mismatches.append(_coupling_mismatch(sample_params(rng, min(_ORACLE_CHUNK, samples - lo))))
+    worst = _worst(*mismatches)
     return SuiteResult(
         name="oracle-identity",
         passed=worst <= tol,

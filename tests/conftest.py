@@ -1,8 +1,12 @@
+import dataclasses
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from fiberspin import NetworkParams
 
 
 @pytest.fixture
@@ -20,3 +24,17 @@ def cli():
         )
 
     return run
+
+
+@pytest.fixture
+def unstack():
+    """Split a stacked NetworkParams into one NetworkParams per set, in order."""
+
+    def split(stack):
+        fields = {f.name: getattr(stack, f.name) for f in dataclasses.fields(stack)}
+        return [
+            NetworkParams(**{k: v[i].item() if isinstance(v, np.ndarray) else v for k, v in fields.items()})
+            for i in range(len(stack.gamma))
+        ]
+
+    return split

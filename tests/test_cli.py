@@ -570,6 +570,12 @@ tau,entanglement
 0.900000000,0.000881345976
 1.00000000,0.00102511152
 """,
+    ("validate", "--seed", "7"): """\
+PASS oracle-identity: worst relative defect 2.588e-13 over 10000 draws (tol 1e-10)
+PASS eigensystem: worst spectral/residual/orthonormality defect 1.718e-15 over 1000 etas (tol 1e-10)
+PASS evolution: worst fidelity/norm/completeness defect 8.882e-16 (tol 1e-10)
+PASS entanglement: worst mixed-vs-pure defect 8.882e-16 (tol 1e-08), worst invariance defect 8.882e-16 (tol 1e-09) over 1000 states
+""",
 }
 
 

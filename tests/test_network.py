@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+from dataclasses import astuple
 import math
 
 import numpy as np
@@ -25,6 +26,8 @@ from fiberspin import (
     theta_variants,
     validate_regime,
 )
+from fiberspin.numerics import solve2
+from fiberspin.validate import sample_params
 
 SYM = dict(gamma=1.0, delta=1.0, chi=0.1, drive=10.0, phi12=math.pi / 4, phi21=math.pi / 4)
 ASYM = dict(gamma=1.0, delta=0.5, chi=0.1, drive=1.0, phi12=0.3, phi21=0.9)
@@ -128,28 +131,173 @@ def test_linear_response_oracle_matches_four_sign_difference():
         assert abs(r.j_oracle - reference) <= 1e-10 * scale
 
 
+def _stack(sets):
+    """One stacked NetworkParams holding the given sets, in order."""
+    names = ("gamma", "delta", "chi", "drive", "phi12", "phi21", "gamma_f")
+    return NetworkParams(**{k: np.array([getattr(p, k) for p in sets]) for k in names})
+
+
+def _counting(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_coupling_computes_d_and_each_fiber_factor_once(monkeypatch):
     # the public routes give the same bits; coupling only shares what they recompute
-    for params in (SYM, ASYM, dict(ASYM, gamma_f=0.2)):
-        p = NetworkParams(**params)
+    sets = [NetworkParams(**params) for params in (SYM, ASYM, dict(ASYM, gamma_f=0.2))]
+    for p in sets:
         r = coupling(p)
         s = steady_fields(p)
         assert (r.theta1, r.theta2) == theta_variants(p, s)
         c = fluctuation_coefficients(p, s)
         oracle = (s.alpha.conjugate() * c.c_a2).real + (s.beta.conjugate() * c.c_b1).real
         assert r.j_oracle == p.chi * oracle
-        calls = {}
-        for name in ("denominator", "_hop12", "_hop21"):
-            real = getattr(network, name)
-
-            def counted(q, _name=name, _real=real):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _real(q)
-
-            monkeypatch.setattr(network, name, counted)
+        calls = _counting(monkeypatch, network, ("denominator", "_hop12", "_hop21"))
         assert coupling(p) == r
         assert calls == {"denominator": 1, "_hop12": 1, "_hop21": 1}
         monkeypatch.undo()
+    # once per stack too, with one solve2 call per source vector
+    stack = _stack(sets * 100)
+    calls = _counting(monkeypatch, network, ("denominator", "_hop12", "_hop21", "solve2"))
+    r = coupling(stack)
+    assert calls == {"denominator": 1, "_hop12": 1, "_hop21": 1, "solve2": 2}
+    assert r.j_oracle.shape == (300,)
+
+
+#: the stacked results compared set by set, bit for bit
+_RESULT_FIELDS = ("j_oracle", "theta1", "theta2", "j_closed", "j_single", "local1", "local2")
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _set_pool(unstack):
+    """Sampled sets plus edge cases: the presets, zero drive, chi, delta and gamma_f, and big drives."""
+    edge = [
+        NetworkParams(**SYM),
+        NetworkParams(**ASYM),
+        NetworkParams(**dict(ASYM, gamma_f=0.3)),
+        NetworkParams(gamma=1.0, delta=0.7, chi=0.2, drive=0.0, phi12=0.1, phi21=0.2),
+        NetworkParams(gamma=1.0, delta=0.7, chi=0.0, drive=3.0, phi12=0.1, phi21=0.2),
+        NetworkParams(gamma=1.0, delta=0.0, chi=-0.3, drive=2j, phi12=0.0, phi21=1.0),
+        NetworkParams(gamma=0.0, delta=2.0, chi=0.1, drive=1.0, phi12=0.0, phi21=0.0),
+        NetworkParams(gamma=1.0, delta=-0.5, chi=0.1, drive=complex(-0.0, 4.0), phi12=3.0, phi21=6.0),
+        NetworkParams(gamma=1.0, delta=0.5, chi=0.1, drive=1e150, phi12=0.3, phi21=0.9, gamma_f=1.0),
+        NetworkParams(gamma=1.0, delta=1e-3, chi=0.1, drive=1.0, phi12=5e-4, phi21=5e-4),
+    ]
+    sampled = unstack(sample_params(np.random.default_rng(43), 257 - len(edge)))
+    return edge + sampled
+
+
+def test_coupling_stack_is_each_set_bit_for_bit(unstack):
+    pool = _set_pool(unstack)
+    alone = [coupling(p) for p in pool]
+    fields = [steady_fields(p) for p in pool]
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 7, 64, 257):
+        for idx in (np.arange(n), rng.permutation(len(pool))[:n]):
+            stack = _stack([pool[i] for i in idx])
+            r = coupling(stack)
+            for name in _RESULT_FIELDS:
+                want = np.array([getattr(alone[i], name) for i in idx])
+                assert np.array_equal(_bits(getattr(r, name)), _bits(want)), name
+            s = steady_fields(stack)
+            for name in ("alpha", "beta"):
+                want = np.array([getattr(fields[i], name) for i in idx])
+                assert np.array_equal(_bits(getattr(s, name)), _bits(want)), name
+            want = np.array([denominator(pool[i]) for i in idx])
+            assert np.array_equal(_bits(denominator(stack)), _bits(want))
+            want = np.array([theta_variants(pool[i], fields[i]) for i in idx])
+            assert np.array_equal(_bits(np.transpose(theta_variants(stack, s))), _bits(want))
+            c = fluctuation_coefficients(stack, s)
+            want = np.array([astuple(fluctuation_coefficients(pool[i], fields[i])) for i in idx])
+            assert np.array_equal(_bits(np.transpose(astuple(c))), _bits(want))
+
+
+def test_large_sampled_stack_is_each_set_bit_for_bit(unstack):
+    # enough sets that the rare values where libm's pow(x, 2) and x * x
+    # round apart (about 1 in 1,000) turn up in local1 and local2
+    stack = sample_params(np.random.default_rng(53), 4000)
+    r = coupling(stack)
+    alone = [coupling(p) for p in unstack(stack)]
+    for name in _RESULT_FIELDS:
+        want = np.array([getattr(a, name) for a in alone])
+        assert np.array_equal(_bits(getattr(r, name)), _bits(want)), name
+
+
+def test_coupling_matches_python_complex_arithmetic(unstack):
+    # the parts core reproduces plain complex arithmetic in CPython's
+    # order; this is coupling written that way, kept as the reference
+    for p in _set_pool(unstack):
+        mu = complex(p.gamma, p.delta)
+        hop12 = cmath.exp(complex(-p.gamma_f, p.phi12))
+        hop21 = cmath.exp(complex(-p.gamma_f, p.phi21))
+        d = mu * mu - p.gamma * p.gamma * cmath.exp(complex(-2.0 * p.gamma_f, p.phi12 + p.phi21))
+        alpha = p.drive * mu / d
+        beta = p.gamma * alpha * hop21 / mu
+        m = [[mu, -p.gamma * hop12], [-p.gamma * hop21, mu]]
+        _, c_b1 = solve2(m, (-1j * p.chi * alpha, 0.0)).tolist()
+        c_a2, _ = solve2(m, (0.0, -1j * p.chi * beta)).tolist()
+        t1 = (alpha.conjugate() * beta * hop12 / d).imag
+        t2 = (alpha * beta.conjugate() * hop21 / d).imag
+        want = (
+            p.chi * ((alpha.conjugate() * c_a2).real + (beta.conjugate() * c_b1).real),
+            t1,
+            t2,
+            p.gamma * p.chi * p.chi * (t1 + t2),
+            p.gamma * p.chi * p.chi * t1,
+            p.chi * abs(alpha) ** 2,
+            p.chi * abs(beta) ** 2,
+        )
+        r = coupling(p)
+        got = tuple(getattr(r, name) for name in _RESULT_FIELDS)
+        assert np.array_equal(_bits(np.array(got)), _bits(np.array(want))), p
+        assert (steady_fields(p).alpha, steady_fields(p).beta, denominator(p)) == (alpha, beta, d)
+
+
+_BAD_SETS = {
+    "recycling": dict(gamma=1.0, delta=0.0, chi=0.1, drive=1.0, phi12=0.0, phi21=0.0),
+    "negative gamma": dict(gamma=-1.0, delta=0.0, chi=0.1, drive=1.0, phi12=0.0, phi21=0.0),
+    "negative gamma_f": dict(ASYM, gamma_f=-0.1),
+    "nan delta": dict(ASYM, delta=math.nan),
+    "inf drive": dict(ASYM, drive=complex(0.0, math.inf)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SETS))
+def test_stack_raises_what_its_bad_set_raises_alone(case, unstack):
+    bad = _BAD_SETS[case]
+    with pytest.raises((ValueError, NegativeLoss, ResonantRecycling)) as alone:
+        coupling(NetworkParams(**bad))
+    pool = _set_pool(unstack)
+    names = ("gamma", "delta", "chi", "drive", "phi12", "phi21", "gamma_f")
+    for n in (1, 2, 7, 64, 257):
+        for k in sorted({0, n // 2, n - 1}):
+            columns = {name: np.array([getattr(p, name) for p in pool[:n]]) for name in names}
+            for name in names:
+                columns[name][k] = bad.get(name, 0.0)
+            with pytest.raises(alone.type) as stacked:
+                coupling(NetworkParams(**columns))
+            assert str(stacked.value) == str(alone.value)
+
+
+def test_params_stack_broadcasts_scalars_and_refuses_ragged_input():
+    p = NetworkParams(gamma=[1.0, 2.0], delta=0.5, chi=0.1, drive=1.0, phi12=[0.3, -0.3], phi21=0.9)
+    assert p.delta.shape == p.gamma_f.shape == (2,) and p.drive.dtype == np.complex128
+    assert p.phi12.tolist() == [0.3, -0.3 % (2.0 * math.pi)]
+    with pytest.raises(ValueError):
+        NetworkParams(gamma=[1.0, 2.0], delta=[0.5, 0.5, 0.5], chi=0.1, drive=1.0, phi12=0.3, phi21=0.9)
+    with pytest.raises(ValueError):
+        NetworkParams(gamma=np.ones((2, 2)), delta=0.5, chi=0.1, drive=1.0, phi12=0.3, phi21=0.9)
 
 
 def test_fluctuation_routes_agree():

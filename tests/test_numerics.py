@@ -113,13 +113,78 @@ def test_solve2_input_guards():
 
 
 def test_solve2_accepts_lists_and_tuples():
-    # network.coupling passes a list-of-lists matrix and a tuple right-hand side
+    # a list-of-lists matrix and a tuple right-hand side are taken like arrays
     m = [[complex(1.0, 2.0), complex(-0.3, 0.1)], [complex(-0.2, 0.5), complex(1.0, 2.0)]]
     rhs = (complex(0.1, -2.0), 0.0)
     x = solve2(m, rhs)
     assert x.dtype == np.complex128 and x.shape == (2,)
     assert np.array_equal(x, solve2(np.array(m), np.array(rhs)))
     assert np.allclose(x, np.linalg.solve(np.array(m), np.array(rhs)), rtol=1e-14, atol=0.0)
+
+
+STACK_SIZES = (1, 2, 7, 64, 257)
+
+
+def _bits(x):
+    # raw bits, so signed zeros and NaN payloads count too
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _system_pool(n, seed):
+    """n well-conditioned systems; every third needs rescaling, with entries near 1e+-300."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)) + 3.0 * np.eye(2)
+    b = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    m_scale = np.array([1.0, 1e300, 1e-300, 1.0, 1.0, 1e-150])[np.arange(n) % 6]
+    b_scale = np.array([1.0, 1e300, 1e-300, 1e300, 1e-300, 1.0])[np.arange(n) % 6]
+    return m * m_scale[:, None, None], b * b_scale[:, None]
+
+
+def test_solve2_stack_is_each_system_bit_for_bit():
+    m, b = _system_pool(257, 29)
+    alone = np.array([solve2(m[i], b[i]) for i in range(257)])
+    rng = np.random.default_rng(31)
+    for n in STACK_SIZES:
+        for idx in (np.arange(n), rng.permutation(257)[:n]):
+            x = solve2(m[idx], b[idx])
+            assert x.shape == (n, 2) and x.dtype == np.complex128
+            assert np.array_equal(_bits(x), _bits(alone[idx]))
+    # a list-of-lists stack is taken like an array one
+    assert np.array_equal(_bits(solve2(m[:3].tolist(), b[:3].tolist())), _bits(alone[:3]))
+
+
+_BAD_SYSTEMS = {
+    "singular": (np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex), np.ones(2, dtype=complex)),
+    "singular, rescaled": (1e-300 * np.array([[1.0, 1j], [1.0, 1j]]), np.ones(2, dtype=complex)),
+    "non-finite matrix": (np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex), np.ones(2, dtype=complex)),
+    "non-finite rhs": (np.eye(2, dtype=complex), np.array([1.0, complex(0.0, np.inf)])),
+    "solution overflows": (1e-200 * np.eye(2, dtype=complex), np.array([1e200, 1.0], dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SYSTEMS))
+def test_solve2_stack_raises_what_its_bad_system_raises_alone(case):
+    bad_m, bad_b = _BAD_SYSTEMS[case]
+    with pytest.raises((ValueError, SingularSystem, OverflowError)) as alone:
+        solve2(bad_m, bad_b)
+    m, b = _system_pool(max(STACK_SIZES), 37)
+    for n in STACK_SIZES:
+        for k in sorted({0, n // 2, n - 1}):
+            stack_m, stack_b = m[:n].copy(), b[:n].copy()
+            stack_m[k], stack_b[k] = bad_m, bad_b
+            with pytest.raises(alone.type) as stacked:
+                solve2(stack_m, stack_b)
+            assert str(stacked.value) == str(alone.value)
+
+
+def test_solve2_stack_shape_guards():
+    with pytest.raises(ValueError):
+        solve2(np.ones((3, 2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        solve2(np.ones((3, 2, 2)), np.ones(2))
+    with pytest.raises(ValueError):
+        solve2(np.ones((3, 3, 3)), np.ones((3, 3)))
+    assert solve2(np.ones((0, 2, 2)), np.ones((0, 2))).shape == (0, 2)
 
 
 def test_jacobi_two_spin_spectrum():

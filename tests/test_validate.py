@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fiberspin import validate
+from fiberspin import network, validate
 from fiberspin.errors import OutOfRange
 from fiberspin.network import NetworkParams, denominator
 from fiberspin.validate import (
@@ -42,11 +42,15 @@ def _sample_params_one_by_one(rng):
 
 
 @pytest.mark.parametrize("seed", [1, 7, 1234])
-def test_sample_params_matches_one_uniform_per_draw(seed):
+def test_sample_params_matches_one_uniform_per_draw(seed, unstack):
     fast = np.random.default_rng(seed)
     reference = np.random.default_rng(seed)
-    got = sample_params(fast, 1500) + sample_params(fast, 1) + sample_params(fast, 499)
-    for g in got:
+    stacks = [sample_params(fast, n) for n in (1500, 1, 499)]
+    for stack, n in zip(stacks, (1500, 1, 499)):
+        assert stack.drive.dtype == np.complex128 and stack.drive.shape == (n,)
+        reals = (stack.gamma, stack.delta, stack.chi, stack.phi12, stack.phi21, stack.gamma_f)
+        assert all(v.dtype == np.float64 and v.shape == (n,) for v in reals)
+    for g in (p for stack in stacks for p in unstack(stack)):
         want = _sample_params_one_by_one(reference)
         assert g == want
         assert all(type(v) is type(w) for v, w in zip(vars(g).values(), vars(want).values()))
@@ -59,6 +63,23 @@ def test_oracle_suite_report_is_deterministic():
     b = suite_oracle_identity(np.random.default_rng(3), samples=200)
     assert a == b and a.passed
     assert a.detail.endswith("over 200 draws (tol 1e-10)")
+
+
+def test_oracle_suite_stacks_its_coupling_calls(monkeypatch):
+    # one coupling call, and one solve2 call per source vector, per chunk of
+    # sets: a per-set loop would make 10,000 and 20,000
+    calls = {"coupling": 0, "solve2": 0}
+    for module, name in ((validate, "coupling"), (network, "solve2")):
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    result = suite_oracle_identity(np.random.default_rng(8), samples=10_000)
+    assert result.passed
+    assert 0 < calls["coupling"] <= 20 and 0 < calls["solve2"] <= 40
 
 
 def _local_unitary_by_qr(rng):
@@ -85,7 +106,7 @@ def test_local_unitary_matches_qr_construction(seed):
     assert fast.random() == reference.random()
 
 
-def test_sample_params_redraws_exactly_the_shortfall(monkeypatch):
+def test_sample_params_redraws_exactly_the_shortfall(monkeypatch, unstack):
     # a guard this high rejects about 40% of the attempts, so the sampler
     # has to redraw the shortfall several times
     monkeypatch.setattr(validate, "_SAMPLE_GUARD", 1.0)
@@ -100,7 +121,7 @@ def test_sample_params_redraws_exactly_the_shortfall(monkeypatch):
 
     got = sample_params(Recorder(), 300)
     assert attempts[0] == (300, 8) and len(attempts) > 2
-    assert got == [_sample_params_one_by_one(reference) for _ in range(300)]
+    assert unstack(got) == [_sample_params_one_by_one(reference) for _ in range(300)]
     assert fast.random() == reference.random()
 
 
@@ -158,11 +179,9 @@ def _one_nan(values, index):
 
 
 def test_nan_defect_fails_oracle_suite(monkeypatch):
-    calls = []
-
     def mismatch(p):
-        calls.append(p)
-        return math.nan if len(calls) == 37 else 0.0
+        # one NaN defect, at the 37th set of the stack
+        return _one_nan(np.zeros(len(p.gamma)), 36)
 
     monkeypatch.setattr(validate, "_coupling_mismatch", mismatch)
     result = suite_oracle_identity(np.random.default_rng(1), samples=100)
