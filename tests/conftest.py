@@ -11,14 +11,18 @@ from fiberspin import NetworkParams
 
 @pytest.fixture
 def cli():
-    """Run the installed CLI in a subprocess, returning raw bytes."""
+    """Run the installed CLI in a subprocess, returning raw bytes.
+
+    The subprocess turns RuntimeWarning into an error, as pyproject.toml's
+    filterwarnings does in process, so a warning leaked to stderr fails.
+    """
 
     def run(*args, env_extra=None):
         env = os.environ.copy()
         if env_extra:
             env.update(env_extra)
         return subprocess.run(
-            [sys.executable, "-m", "fiberspin", *args],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fiberspin", *args],
             capture_output=True,
             env=env,
         )

@@ -22,7 +22,16 @@ from fiberspin import (
 from fiberspin import cli as cli_module
 from fiberspin.entanglement import _BLOCK_ROWS
 from fiberspin import errors
-from fiberspin.cli import _CliUsage, _emit, _resolve, build_parser, fmt9, fmt9_block, main
+from fiberspin.cli import (
+    _PASS_ROWS,
+    _CliUsage,
+    _emit,
+    _resolve,
+    build_parser,
+    fmt9,
+    fmt9_block,
+    main,
+)
 
 
 def lines(raw):
@@ -82,6 +91,23 @@ FMT9_EDGES = [
     (0.151515151515, "0.151515152"),
     (5e-324, "4.94065646e-324"),
     (1.7e308, "1.70000000e+308"),
+    # rounding that carries into one more digit, at several digit counts
+    (9.99999999951e5, "1000000.000"),
+    (-9.99999999951e5, "-1000000.000"),
+    (9.999999999e-8, "0.0000001000000000"),
+    (-9.99999999951e-5, "-0.0001000000000"),
+    (999999999.6, "1000000000"),
+    (999999999999.6, "1000000000000"),
+    # values whose numpy log10 floors to another integer than math.log10's
+    (_ulps(1e-6, -5), "0.00000100000000"),
+    (_ulps(1e3, -5), "1000.00000"),
+    (_ulps(1e5, -7), "100000.0000"),
+    (_ulps(1e9, -18), "1000000000"),
+    # negatives next to the scientific cutoffs
+    (-_ulps(1e-8, -1), "-1.00000000e-08"),
+    (-_ulps(1e-8, 1), "-0.0000000100000000"),
+    (-_ulps(1e12, 1), "-1.00000000e+12"),
+    (-1e12, "-1.00000000e+12"),
 ]
 
 
@@ -96,6 +122,23 @@ def test_fmt9_block_golden():
             fmt9_block(np.array([[1.0, bad]]), ",")
 
 
+def _near_half(k, d, j):
+    """A value whose d-th decimal is followed by (almost) exactly 5, moved j ulps.
+
+    With k of nine digits fmt9 prints d decimals, so |x| 10**d lies within
+    1e-6 of a half-integer: fmt9_block must take fmt9's own text.
+    """
+    return _ulps((k + 0.5) * 10.0**-d, j)
+
+
+_near_halves = st.builds(
+    lambda k, d, j, sign: sign * _near_half(k, d, j),
+    st.integers(10**8, 10**9 - 1),
+    st.integers(0, 16),
+    st.integers(-3, 3),
+    st.sampled_from([1.0, -1.0]),
+)
+
 _fmt9_values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([v for v, _ in FMT9_EDGES]),
@@ -105,6 +148,7 @@ _fmt9_values = st.one_of(
         st.integers(-10, 13),
         st.integers(-2, 2),
     ),
+    _near_halves,
 )
 
 
@@ -114,6 +158,86 @@ def test_fmt9_block_matches_fmt9(rows):
     table = np.array(rows, dtype=np.float64)
     assert fmt9_block(table, ",") == _fmt9_lines(table, ",")
     assert fmt9_block(table[:, :1], " ") == _fmt9_lines(table[:, :1], " ")
+
+
+def _counting_fmt9(monkeypatch):
+    """Spy on the cli module's fmt9; returns the list of values it was given."""
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return fmt9(x)
+
+    monkeypatch.setattr(cli_module, "fmt9", spy)
+    return seen
+
+
+def test_fmt9_block_all_fallback_cells(monkeypatch):
+    # near-half cells at every digit count, both signs, and scientific cells:
+    # each one takes fmt9's text, and the lines are still fmt9's
+    rng = np.random.default_rng(20261018)
+    halves = [
+        sign * _near_half(int(rng.integers(10**8, 10**9)), d, j)
+        for d in range(17)
+        for j in range(-3, 4)
+        for sign in (1.0, -1.0)
+    ]
+    table = np.array(halves + [5e-9, -1.5e12, 5e-324, -1.7e308]).reshape(-1, 2)
+    seen = _counting_fmt9(monkeypatch)
+    assert fmt9_block(table, ",") == _fmt9_lines(table, ",")
+    assert len(seen) == table.size
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3])
+@pytest.mark.parametrize("sep", [",", " "])
+@pytest.mark.parametrize("rows", [_PASS_ROWS - 1, _PASS_ROWS, _PASS_ROWS + 1])
+def test_fmt9_block_shapes_and_pass_boundaries(ncols, sep, rows):
+    # rows straddling the formatter's pass size: every golden edge value at a
+    # random cell, and random signed values from 1e-9 to 1e13 in the others
+    rng = np.random.default_rng([rows, ncols])
+    cells = rng.choice([-1.0, 1.0], rows * ncols) * 10.0 ** rng.uniform(-9, 13, rows * ncols)
+    edges = np.array([v for v, _ in FMT9_EDGES])
+    cells[rng.choice(cells.size, edges.size, replace=False)] = edges
+    table = cells.reshape(rows, ncols)
+    assert fmt9_block(table, sep) == _fmt9_lines(table, sep)
+
+
+def test_fmt9_block_edge_shapes_and_separators():
+    assert fmt9_block(np.empty((0, 2)), ",") == ""
+    assert fmt9_block(np.empty((3, 0)), ",") == "\n\n\n"
+    for bad in ("", ", ", "\0", "\u00e9"):
+        with pytest.raises(ValueError):
+            fmt9_block(np.ones((1, 2)), bad)
+
+
+def test_fmt9_fallback_stays_rare(monkeypatch):
+    # the default evolve trace at 150,001 rows: only the scientific cells near
+    # tau = 0 take fmt9's text
+    trace = entanglement_trace(0.1, 1500.0, 0.01)
+    table = np.column_stack((trace.taus, trace.values))
+    seen = _counting_fmt9(monkeypatch)
+    text = fmt9_block(table, ",")
+    assert len(text.splitlines()) == 150_001
+    assert len(seen) < table.size / 10**4
+
+
+#: tracemalloc peak of the "%.*f" template formatter that fmt9_block replaced,
+#: on the block below: 3,906,273 bytes (CPython 3.11, numpy 2.4)
+_TEMPLATE_PEAK = 3_906_273
+
+
+def test_fmt9_block_memory_stays_small():
+    trace = entanglement_trace(0.1, 163.83, 0.01)
+    table = np.column_stack((trace.taus, trace.values))
+    assert table.shape == (_BLOCK_ROWS, 2)
+    fmt9_block(table, ",")  # warm any lazy numpy state outside the measurement
+    tracemalloc.start()
+    try:
+        fmt9_block(table, ",")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _TEMPLATE_PEAK
 
 
 def test_evolve_streams_blocks_byte_identical(cli, tmp_path):
@@ -372,6 +496,25 @@ def test_taustar_rejects_bad_eta_lists(cli):
     assert malformed.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "grid, word",
+    [
+        ("0.1:0.4:10000000000000", b"count"),
+        ("0.1:0.4:10001", b"count must be from 1 to 10000"),
+        ("0.1:inf:3", b"finite"),
+        ("nan:0.4:3", b"finite"),
+    ],
+)
+def test_taustar_refuses_bad_log_grids_before_allocating(cli, grid, word):
+    # a huge count used to end in numpy's allocation error, inf in a leaked
+    # RuntimeWarning, and nan passed the positivity check
+    r = cli("taustar", "--etas-log", grid, "--window", "100")
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert r.stderr.startswith(b"error: usage: --etas-log") and word in r.stderr
+    assert r.stderr.count(b"\n") == 1
+
+
 def test_feasibility_report(cli):
     r = cli("feasibility")
     assert r.returncode == 0
@@ -391,6 +534,15 @@ def test_feasibility_flags(cli):
     assert bad.stderr.startswith(b"error: zero-detuning:")
     unknown = cli("feasibility", "--preset", "example-sym")
     assert unknown.returncode == 1
+
+
+@pytest.mark.parametrize("chi", ["nan", "inf", "-inf"])
+def test_feasibility_refuses_a_non_finite_chi(chi, capsys):
+    # refused as the parameter it is, not later as an unprintable result
+    assert main(["feasibility", f"--chi={chi}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: usage: chi must be finite, got {float(chi)!r}\n"
 
 
 def test_config_and_flag_precedence(cli, tmp_path):
