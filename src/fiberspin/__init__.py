@@ -1,135 +1,101 @@
 """Steady fields, engineered Ising coupling, and entanglement dynamics
-for two atoms held in driven cavities linked by an optical fiber."""
+for two atoms held in driven cavities linked by an optical fiber.
 
-from .entanglement import (
-    EntanglementTrace,
-    TauStarResult,
-    concurrence_mixed,
-    concurrence_pure,
-    entanglement_blocks,
-    entanglement_trace,
-    eof_from_concurrence,
-    tau_star,
-)
-from .errors import (
-    BadGrid,
-    DegenerateEta,
-    FiberspinError,
-    InvalidDensityMatrix,
-    NegativeLoss,
-    NonpositiveGamma,
-    NotHermitian,
-    NotNormalized,
-    OutOfRange,
-    ResonantRecycling,
-    SingularSystem,
-    ValidationFailure,
-    ZeroDetuning,
-)
-from .feasibility import (
-    FIBER_PRESET,
-    RAMAN_PRESET,
-    FiberLossSpec,
-    LossConvention,
-    LossyCoupling,
-    RamanParams,
-    chi_from_raman,
-    gamma_f_from_db,
-    j_estimate,
-    lossy_coupling_report,
-)
-from .kernels import backend
-from .network import (
-    CouplingResult,
-    FluctuationCoefficients,
-    NetworkParams,
-    SteadyFields,
-    apply_fiber_loss,
-    coupling,
-    coupling_largedelta_lossy,
-    denominator,
-    fluctuation_coefficients,
-    fluctuation_coefficients_closed,
-    steady_fields,
-    symmetric_phase_sum,
-    theta_variants,
-    validate_regime,
-)
-from .numerics import HermEig4, eig_hermitian4, propagate, solve2
-from .spins import (
-    AnalyticEigensystem,
-    SpinParams,
-    analytic_eigensystem,
-    build_hamiltonian,
-    evolve_analytic,
-    initial_coefficients,
-    numeric_eigensystem,
-    scaled_time,
-)
-from .validate import DEFAULT_SEED, SuiteResult, run_all
+Importing the package loads no submodule. Each public name is looked up
+in the submodule that defines it the first time it is read (PEP 562), so
+`fiberspin.coupling` costs the scalar modules only, while the array
+routines load numpy with their own modules.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticEigensystem",
-    "BadGrid",
-    "CouplingResult",
-    "DEFAULT_SEED",
-    "DegenerateEta",
-    "EntanglementTrace",
-    "FIBER_PRESET",
-    "FiberLossSpec",
-    "FiberspinError",
-    "FluctuationCoefficients",
-    "HermEig4",
-    "InvalidDensityMatrix",
-    "LossConvention",
-    "LossyCoupling",
-    "NegativeLoss",
-    "NetworkParams",
-    "NonpositiveGamma",
-    "NotHermitian",
-    "NotNormalized",
-    "OutOfRange",
-    "RAMAN_PRESET",
-    "RamanParams",
-    "ResonantRecycling",
-    "SingularSystem",
-    "SpinParams",
-    "SteadyFields",
-    "SuiteResult",
-    "TauStarResult",
-    "ValidationFailure",
-    "ZeroDetuning",
-    "analytic_eigensystem",
-    "apply_fiber_loss",
-    "backend",
-    "build_hamiltonian",
-    "chi_from_raman",
-    "concurrence_mixed",
-    "concurrence_pure",
-    "coupling",
-    "coupling_largedelta_lossy",
-    "denominator",
-    "eig_hermitian4",
-    "entanglement_blocks",
-    "entanglement_trace",
-    "eof_from_concurrence",
-    "evolve_analytic",
-    "fluctuation_coefficients",
-    "fluctuation_coefficients_closed",
-    "gamma_f_from_db",
-    "initial_coefficients",
-    "j_estimate",
-    "lossy_coupling_report",
-    "numeric_eigensystem",
-    "propagate",
-    "run_all",
-    "scaled_time",
-    "solve2",
-    "steady_fields",
-    "symmetric_phase_sum",
-    "tau_star",
-    "theta_variants",
-    "validate_regime",
-]
+#: submodule -> the public names it defines
+_EXPORTS = {
+    "_seed": ("DEFAULT_SEED",),
+    "entanglement": (
+        "EntanglementTrace",
+        "TauStarResult",
+        "concurrence_mixed",
+        "concurrence_pure",
+        "entanglement_blocks",
+        "entanglement_trace",
+        "eof_from_concurrence",
+        "tau_star",
+    ),
+    "errors": (
+        "BadGrid",
+        "DegenerateEta",
+        "FiberspinError",
+        "InvalidDensityMatrix",
+        "NegativeLoss",
+        "NonpositiveGamma",
+        "NotHermitian",
+        "NotNormalized",
+        "OutOfRange",
+        "ResonantRecycling",
+        "SingularSystem",
+        "ValidationFailure",
+        "ZeroDetuning",
+    ),
+    "feasibility": (
+        "FIBER_PRESET",
+        "RAMAN_PRESET",
+        "FiberLossSpec",
+        "LossConvention",
+        "LossyCoupling",
+        "RamanParams",
+        "chi_from_raman",
+        "gamma_f_from_db",
+        "j_estimate",
+        "lossy_coupling_report",
+    ),
+    "kernels": ("backend",),
+    "network": (
+        "CouplingResult",
+        "FluctuationCoefficients",
+        "NetworkParams",
+        "SteadyFields",
+        "apply_fiber_loss",
+        "coupling",
+        "coupling_largedelta_lossy",
+        "denominator",
+        "fluctuation_coefficients",
+        "fluctuation_coefficients_closed",
+        "steady_fields",
+        "symmetric_phase_sum",
+        "theta_variants",
+        "validate_regime",
+    ),
+    "numerics": ("HermEig4", "eig_hermitian4", "propagate", "solve2"),
+    "spins": (
+        "AnalyticEigensystem",
+        "SpinParams",
+        "analytic_eigensystem",
+        "build_hamiltonian",
+        "evolve_analytic",
+        "initial_coefficients",
+        "numeric_eigensystem",
+        "scaled_time",
+    ),
+    "validate": ("SuiteResult", "run_all"),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines a public name, and bind the name here."""
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

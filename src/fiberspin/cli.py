@@ -19,6 +19,14 @@ form, or a value within 1e-6 of a rounding tie) gets fmt9's own text.
 The checks that can refuse a trace, the grid guards on the whole grid
 and the values of the first block, all run before anything is written.
 
+This module loads only the scalar modules, errors, feasibility, network
+and numerics, none of which imports numpy at module level. So steady,
+coupling and feasibility, --help and a usage error never import numpy.
+numpy and the array modules (entanglement, validate) are imported where
+they are used: inside cmd_evolve, cmd_taustar and cmd_validate and the
+block writer. taustar imports its thread pool only when it runs more
+than one thread.
+
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
 3 self-check failure; each FiberspinError class carries its own as
 exit_code. Every failure writes one line `error: <code>: <message>` to
@@ -35,14 +43,13 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .entanglement import entanglement_blocks, tau_star
+from ._seed import DEFAULT_SEED
 from .errors import FiberspinError, ValidationFailure
 from .feasibility import (
     FIBER_PRESET,
@@ -56,7 +63,9 @@ from .feasibility import (
     lossy_coupling_report,
 )
 from .network import NetworkParams, coupling, denominator, steady_fields, validate_regime
-from .validate import DEFAULT_SEED, run_all
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class _CliUsage(Exception):
@@ -64,6 +73,13 @@ class _CliUsage(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts with "-" and a digit or "." is a value, as in
+        # --drive-re -1e-3 or --etas-log -0.1:0.4:3; argparse's own pattern
+        # takes only plain negative decimals, and no flag here looks like one
+        self._negative_number_matcher = re.compile(r"-[0-9.]")
+
     def error(self, message):
         raise _CliUsage(message)
 
@@ -121,10 +137,19 @@ _PASS_ROWS = 4096
 _FIELD = 20
 
 #: fields are handled as five little-endian uint32 lanes of four bytes
-_LANE = np.dtype("<u4")
+_LANE = "<u4"
 
-#: 10**d for every digit count d fmt9 prints in fixed form; each is exact
-_POW10 = 10.0 ** np.arange(17)
+
+@functools.cache
+def _pow10() -> np.ndarray:
+    """10**d for every digit count d fmt9 prints in fixed form; each is exact.
+
+    This table, _digit_lanes and _point_patterns are built on first use,
+    so that the subcommands that print no table never import numpy.
+    """
+    import numpy as np
+
+    return 10.0 ** np.arange(17)
 
 
 @functools.cache
@@ -133,9 +158,9 @@ def _digit_lanes() -> np.ndarray:
 
     Entry g is g zero-padded to four digits; entry 10,000 + g is the same
     with its leading zeros as pad bytes, so entry 10,000 is four pads.
-    This table and _point_patterns are built on first use, so that the
-    subcommands that print no table do not pay for them at import.
     """
+    import numpy as np
+
     g = np.arange(10_000)[:, None]
     place = np.array([1000, 100, 10, 1])
     full = (g // place % 10 + ord("0")).astype(np.uint8)
@@ -154,6 +179,8 @@ def _point_patterns() -> np.ndarray:
     its leading "0." and its fraction's leading zeros. point is XORed in:
     it turns the inserted "0" into "." (into a pad when d = 0).
     """
+    import numpy as np
+
     c = (_FIELD - 1 - np.arange(_FIELD))[None, :]
     d = np.arange(17)[:, None]
     zeros = ord("0") * (c <= d + 1)
@@ -165,6 +192,8 @@ def _point_patterns() -> np.ndarray:
 
 def _fmt9_pass(a: np.ndarray, opener: np.ndarray) -> str:
     """One pass of fmt9_block: rows of a finite array, each line LF-opened."""
+    import numpy as np
+
     flat = (a + 0.0).ravel()  # -0.0 + 0.0 is +0.0, which prints unsigned like fmt9's zero
     n = flat.size
     mag = np.abs(flat)
@@ -179,7 +208,7 @@ def _fmt9_pass(a: np.ndarray, opener: np.ndarray) -> str:
         lg[i] = math.log10(safe[i])
     # fixed-form values lie in [1e-8, 1e12), so d never reaches fmt9's cap of 20
     d = np.clip(8.0 - np.floor(lg), 0.0, 16.0).astype(np.intp)
-    scale = np.take(_POW10, d)
+    scale = np.take(_pow10(), d)
     y = (mag * ~sci) * scale
     q = np.rint(y)
     fallback = sci | (np.abs(y - q) > 0.5 - 1e-6)
@@ -230,6 +259,8 @@ def fmt9_block(table: np.ndarray, sep: str) -> str:
     rint(y) is its correctly rounded integer. Cells within that margin, and
     those fmt9 prints in scientific form, take fmt9's own text.
     """
+    import numpy as np
+
     a = np.asarray(table, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("refusing to format a non-finite number")
@@ -273,6 +304,8 @@ def _emit(
             blocks = iter(row)
             first = next(blocks, None)
             if first is not None:
+                import numpy as np
+
                 if not np.all(np.isfinite(first)):
                     raise ValueError("refusing to format a non-finite number")
                 blocks = itertools.chain([first], blocks)
@@ -460,6 +493,10 @@ def cmd_coupling(args) -> None:
 
 
 def cmd_evolve(args) -> None:
+    import numpy as np
+
+    from .entanglement import entanglement_blocks
+
     cfg = _resolve(args)
     # the whole-grid guards and the first block run here, before _emit opens anything
     blocks = entanglement_blocks(cfg["eta"], cfg["tau_max"], cfg["step"])
@@ -485,11 +522,15 @@ def _taustar_etas(args, cfg) -> list[float]:
             raise _CliUsage(f"--etas-log count must be from 1 to {_ETAS_LOG_MAX}, got {count}")
         if count == 1:
             return [start]
+        import numpy as np
+
         return [float(v) for v in np.geomspace(start, stop, count)]
     return list(cfg["etas"])
 
 
 def cmd_taustar(args) -> None:
+    from .entanglement import tau_star
+
     cfg = _resolve(args)
     etas = _taustar_etas(args, cfg)
     window, step, tolerance = cfg["window"], cfg["step"], cfg["tolerance"]
@@ -501,6 +542,8 @@ def cmd_taustar(args) -> None:
     if threads == 1 or len(etas) == 1:
         results = [one(eta) for eta in etas]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, etas))
     rows = [("eta", "tau_star", "e_max")]
@@ -541,6 +584,8 @@ def cmd_feasibility(args) -> None:
 
 
 def cmd_validate(args) -> None:
+    from .validate import run_all
+
     cfg = _resolve(args)
     results = run_all(seed=cfg["seed"], tolerance=cfg["tolerance"])
     rows = []

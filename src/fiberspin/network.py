@@ -36,15 +36,14 @@ so a set gets the same bits alone as at any position in a stack, and
 the same bits as plain Python complex arithmetic. A stack raises the
 error its first failing set would raise alone. A stack costs a fixed
 number of numpy calls whatever its length, so a caller with many sets
-should stack them rather than loop over them.
+should stack them rather than loop over them. One set makes no numpy
+call, and this module imports numpy only when it is handed a stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import NegativeLoss, ResonantRecycling
 from .numerics import _mul, _parts_of, _solve2, _split, _sub, solve2
@@ -84,7 +83,11 @@ class NetworkParams:
     def __post_init__(self):
         names = ("gamma", "delta", "chi", "drive", "phi12", "phi21", "gamma_f")
         raw = [getattr(self, name) for name in names]
-        if any(isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim) for v in raw):
+        # an array of one or more dimensions has a nonzero ndim; a scalar, a
+        # numpy scalar and a 0-d array give one set without importing numpy
+        if any(isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) for v in raw):
+            import numpy as np
+
             arrays = [np.asarray(v) for v in raw]
             if any(a.ndim > 1 for a in arrays):
                 raise ValueError("network parameters must be scalars or 1-d arrays")
@@ -253,6 +256,8 @@ def _solve(m, rhs):
     """solve2 on parts: its core for one system, the public routine for a stack."""
     if isinstance(m[0][0], float):
         return _solve2(*m, *rhs)
+    import numpy as np
+
     a = np.empty((len(m[0][0]), 6), dtype=np.complex128)
     for k, (re, im) in enumerate((*m, *rhs)):
         a.real[:, k], a.imag[:, k] = re, im

@@ -35,17 +35,24 @@ Both routines rescale by an exact power of two where needed, so entries
 near either end of the float range neither overflow nor go subnormal
 inside the algorithm. Scaling by a power of two commutes with rounding,
 so an input that needs no rescaling gives the same bits either way.
+
+numpy is imported inside the functions that use it, _StackParts, solve2,
+eig_hermitian4 and propagate and their helpers, never at module level:
+importing this module, and the parts core on floats, leave it unloaded.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NotHermitian, NotNormalized, SingularSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: relative determinant floor for the 2x2 solver
 SOLVE2_EPS = 1e-12
@@ -152,6 +159,8 @@ class _StackParts:
         # _Py_c_quot's two branches, each over the whole stack; a system
         # takes the branch CPython takes for it, and the other one may
         # divide by zero or overflow unseen
+        import numpy as np
+
         (ar, ai), (br, bi) = a, b
         with np.errstate(all="ignore"):
             r1 = bi / br
@@ -168,6 +177,8 @@ class _StackParts:
     def expcis(x, phi):
         # libm's exp, cos and sin, which cmath.exp calls for x <= 0: numpy's
         # vectorized exp differs from libm in the last bit for some inputs
+        import numpy as np
+
         n = len(phi)
         if isinstance(x, float):
             scale = math.exp(x)
@@ -182,17 +193,23 @@ class _StackParts:
     @staticmethod
     def mod(z):
         # numpy's hypot is libm's, which abs(complex) calls
+        import numpy as np
+
         with np.errstate(over="ignore"):
             return np.hypot(*z)
 
     @staticmethod
     def square(x):
         # libm's pow, which float ** calls; x * x rounds differently for some x
+        import numpy as np
+
         with np.errstate(over="ignore"):
             return np.float_power(x, 2.0)
 
     @staticmethod
     def ldexp(z, k):
+        import numpy as np
+
         with np.errstate(over="ignore"):
             out = np.ldexp(z[0], k), np.ldexp(z[1], k)
         if not np.isfinite(out).all() and (np.isinf(out) & np.isfinite(z)).any():
@@ -201,19 +218,27 @@ class _StackParts:
 
     @staticmethod
     def exponent(*parts):
+        import numpy as np
+
         return np.frexp(np.max(np.abs(parts), axis=0))[1]
 
     @staticmethod
     def nonfinite(*parts):
+        import numpy as np
+
         return ~np.isfinite(parts).all(axis=0)
 
     @staticmethod
     def max(*values):
+        import numpy as np
+
         return np.max(values, axis=0)
 
     @staticmethod
     def first(mask, *values):
         """None if no system's guard mask is set, else values at the first one that is."""
+        import numpy as np
+
         if not mask.any():
             return None
         i = int(mask.argmax())
@@ -221,6 +246,8 @@ class _StackParts:
 
     @staticmethod
     def pack(re, im):
+        import numpy as np
+
         z = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
         z.real, z.imag = re, im
         return z
@@ -299,6 +326,8 @@ def solve2(m, rhs) -> np.ndarray:
     OverflowError
         If a component of the solution exceeds the float range.
     """
+    import numpy as np
+
     a = np.asarray(m, dtype=np.complex128)
     b = np.asarray(rhs, dtype=np.complex128)
     if a.shape == (2, 2) and b.shape == (2,):
@@ -324,6 +353,8 @@ class HermEig4:
 
 
 def _check_hermitian(h) -> np.ndarray:
+    import numpy as np
+
     a = np.asarray(h, dtype=np.complex128)
     if a.shape[-2:] != (4, 4) or a.ndim not in (2, 3):
         raise ValueError(f"expected shape (4, 4) or (n, 4, 4), got {a.shape}")
@@ -339,25 +370,45 @@ def _check_hermitian(h) -> np.ndarray:
     return a
 
 
-# for each pair (p, q) of _PAIRS: the slice picking lines p and q, and the
-# (part, row, column) positions a rotation leaves exactly zero: both parts
-# of a[p][q] and a[q][p], and the imaginary parts of a[p][p] and a[q][q]
-_PAIR_STEPS = {
-    (p, q): (
-        slice(p, q + 1, q - p),
-        (np.array([0, 1, 0, 1, 1, 1]), np.array([p, p, q, q, p, q]), np.array([q, q, p, p, p, q])),
-    )
-    for p, q in _PAIRS
-}
-_PAIR_ROWS = np.array([p for p, _ in _PAIRS])
-_PAIR_COLS = np.array([q for _, q in _PAIRS])
-# +-1 along the axis that holds a rotation's two lines
-_PLUS_MINUS = np.array([[1.0], [-1.0]])
+@functools.cache
+def _pair_steps() -> dict:
+    """For each pair (p, q) of _PAIRS: the slice picking lines p and q, and the
+    (part, row, column) positions a rotation leaves exactly zero: both parts
+    of a[p][q] and a[q][p], and the imaginary parts of a[p][p] and a[q][q].
+    """
+    import numpy as np
+
+    return {
+        (p, q): (
+            slice(p, q + 1, q - p),
+            (np.array([0, 1, 0, 1, 1, 1]), np.array([p, p, q, q, p, q]), np.array([q, q, p, p, p, q])),
+        )
+        for p, q in _PAIRS
+    }
+
+
+@functools.cache
+def _pair_index() -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns of _PAIRS, as index arrays."""
+    import numpy as np
+
+    return np.array([p for p, _ in _PAIRS]), np.array([q for _, q in _PAIRS])
+
+
+@functools.cache
+def _plus_minus() -> np.ndarray:
+    """+-1 along the axis that holds a rotation's two lines."""
+    import numpy as np
+
+    return np.array([[1.0], [-1.0]])
 
 
 def _off_norm(w: np.ndarray) -> np.ndarray:
     """sqrt(2 * sum |a[p][q]|^2) over _PAIRS, summed in that order, per matrix."""
-    part = w[:, _PAIR_ROWS, _PAIR_COLS]
+    import numpy as np
+
+    rows, cols = _pair_index()
+    part = w[:, rows, cols]
     mod = np.hypot(part[0], part[1])
     return np.sqrt(2.0 * np.add.accumulate(mod * mod, axis=0)[-1])
 
@@ -372,7 +423,9 @@ def _rotate(w: np.ndarray, p: int, q: int) -> None:
     each matrix's bits depend on its own entries alone, never on the
     stack around it or on how numpy vectorizes a loop.
     """
-    lines, zeros = _PAIR_STEPS[p, q]
+    import numpy as np
+
+    lines, zeros = _pair_steps()[p, q]
     bpq = w[:, p, q]
     ab = np.hypot(bpq[0], bpq[1])
     skip = ab == 0.0
@@ -388,8 +441,9 @@ def _rotate(w: np.ndarray, p: int, q: int) -> None:
     # a rotation maps the lines (x_p, x_q) to (c*x_p + u*x_q, c*x_q + u'*x_p);
     # re(u), re(u') = +-re(sp), and the imaginary parts, which multiply the
     # swapped parts of x, are +-kp with kp = (-im(sp), +im(sp)) by part
-    re_u = sp[0] * _PLUS_MINUS
-    kp = (sp[1] * _PLUS_MINUS[::-1])[:, None, None]
+    plus_minus = _plus_minus()
+    re_u = sp[0] * plus_minus
+    kp = (sp[1] * plus_minus[::-1])[:, None, None]
     # columns of A and V: u = s*conj(phase), u' = -s*phase
     y = w[:, :, lines]
     swapped = y[:, :, ::-1]
@@ -420,6 +474,8 @@ def eig_hermitian4(h) -> HermEig4:
     Raises NotHermitian if any input matrix fails the Hermiticity check,
     and OverflowError if an eigenvalue exceeds the float range.
     """
+    import numpy as np
+
     a = _check_hermitian(h)
     single = a.ndim == 2
     a = a.reshape(-1, 4, 4)
@@ -473,6 +529,8 @@ def propagate(h, t, psi0) -> np.ndarray:
     array of times, giving one state per row from a single
     eigendecomposition.
     """
+    import numpy as np
+
     times = np.asarray(t, dtype=np.float64)
     if times.ndim > 1:
         raise ValueError(f"expected a time or a 1-d array of times, got shape {times.shape}")

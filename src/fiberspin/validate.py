@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seed import DEFAULT_SEED
 from .entanglement import concurrence_mixed, concurrence_pure
 from .errors import OutOfRange
 from .network import NetworkParams, coupling, denominator
@@ -24,8 +25,6 @@ from .spins import (
     evolve_analytic,
     initial_coefficients,
 )
-
-DEFAULT_SEED = 1234
 
 #: margin over the library's own singularity guard used when sampling,
 #: so every sampled point is comfortably conditioned

@@ -496,6 +496,30 @@ def test_taustar_rejects_bad_eta_lists(cli):
     assert malformed.returncode == 1
 
 
+def test_a_flag_value_may_start_with_minus_and_an_exponent_form(capsys):
+    # argparse reads only plain negative decimals such as -0.5 as values, so
+    # -1e-3 was taken for a flag and failed with "expected one argument"
+    assert main(["steady", "--drive-re", "-1e-3"]) == 0
+    spaced = capsys.readouterr()
+    assert main(["steady", "--drive-re=-1e-3"]) == 0
+    assert spaced.out == capsys.readouterr().out
+    assert "alpha_re = -0.00100000000" in spaced.out.splitlines()
+
+
+def test_a_negative_eta_list_reaches_the_eta_check(capsys):
+    assert main(["taustar", "--etas", "-0.1,0.2", "--window", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degenerate-eta: eta must be a positive real, got -0.1\n"
+
+
+def test_a_negative_log_grid_start_reaches_the_endpoint_check(capsys):
+    assert main(["taustar", "--etas-log", "-0.1:0.4:3", "--window", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: usage: --etas-log needs finite positive endpoints, got -0.1:0.4\n"
+
+
 @pytest.mark.parametrize(
     "grid, word",
     [
