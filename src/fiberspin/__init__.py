@@ -4,7 +4,8 @@ for two atoms held in driven cavities linked by an optical fiber.
 Importing the package loads no submodule. Each public name is looked up
 in the submodule that defines it the first time it is read (PEP 562), so
 `fiberspin.coupling` costs the scalar modules only, while the array
-routines load numpy with their own modules.
+routines load numpy with their own modules. A submodule read as an
+attribute, `fiberspin.network` say, is imported on that first read.
 """
 
 import importlib
@@ -88,7 +89,9 @@ __all__ = sorted(_ORIGIN)
 
 
 def __getattr__(name: str):
-    """Import the submodule that defines a public name, and bind the name here."""
+    """A submodule, imported; or a public name, bound here from the submodule that defines it."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
     module = _ORIGIN.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,8 @@ the same bits as plain Python complex arithmetic. A stack raises the
 error its first failing set would raise alone. A stack costs a fixed
 number of numpy calls whatever its length, so a caller with many sets
 should stack them rather than loop over them. One set makes no numpy
-call, and this module imports numpy only when it is handed a stack.
+call; a stack's numpy work, as numerics', is in fiberspin._arrays, which
+only a stack imports.
 """
 
 from __future__ import annotations
@@ -86,15 +87,9 @@ class NetworkParams:
         # an array of one or more dimensions has a nonzero ndim; a scalar, a
         # numpy scalar and a 0-d array give one set without importing numpy
         if any(isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) for v in raw):
-            import numpy as np
+            from ._arrays import network_fields
 
-            arrays = [np.asarray(v) for v in raw]
-            if any(a.ndim > 1 for a in arrays):
-                raise ValueError("network parameters must be scalars or 1-d arrays")
-            values = [
-                np.array(a, dtype=np.complex128 if name == "drive" else np.float64)
-                for name, a in zip(names, np.broadcast_arrays(*arrays))
-            ]
+            values = network_fields(names, raw)
         else:
             values = [complex(v) if name == "drive" else float(v) for name, v in zip(names, raw)]
         gamma, delta, chi, drive, phi12, phi21, gamma_f = values
@@ -256,12 +251,9 @@ def _solve(m, rhs):
     """solve2 on parts: its core for one system, the public routine for a stack."""
     if isinstance(m[0][0], float):
         return _solve2(*m, *rhs)
-    import numpy as np
+    from ._arrays import stack_system
 
-    a = np.empty((len(m[0][0]), 6), dtype=np.complex128)
-    for k, (re, im) in enumerate((*m, *rhs)):
-        a.real[:, k], a.imag[:, k] = re, im
-    x = solve2(a[:, :4].reshape(-1, 2, 2), a[:, 4:])
+    x = solve2(*stack_system(m, rhs))
     return _split(x[:, 0]), _split(x[:, 1])
 
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import _StackParts
 from ._seed import DEFAULT_SEED
 from .entanglement import concurrence_mixed, concurrence_pure
 from .errors import OutOfRange
 from .network import NetworkParams, coupling, denominator
-from .numerics import _mul, _split, _StackParts, eig_hermitian4, propagate
+from .numerics import _mul, _split, eig_hermitian4, propagate
 from .spins import (
     SpinParams,
     analytic_eigensystem,

@@ -22,8 +22,8 @@ from fiberspin import (
 from fiberspin import cli as cli_module
 from fiberspin.entanglement import _BLOCK_ROWS
 from fiberspin import errors
+from fiberspin._blocks import _PASS_ROWS
 from fiberspin.cli import (
-    _PASS_ROWS,
     _CliUsage,
     _emit,
     _resolve,

@@ -113,6 +113,23 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(fiberspin, "no_such_name")
 
 
+def test_each_module_is_an_attribute_of_the_package():
+    for module in PUBLIC:
+        assert getattr(fiberspin, module.__name__.rpartition(".")[2]) is module
+
+
+def test_a_plain_import_reaches_each_module_as_an_attribute():
+    # a fresh interpreter, in which no submodule is imported until it is read
+    names = [module.__name__.rpartition(".")[2] for module in PUBLIC]
+    code = (
+        "import sys, fiberspin\n"
+        f"for name in {names!r}:\n"
+        "    assert getattr(fiberspin, name) is sys.modules['fiberspin.' + name], name\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def _imports(*args, code=0):
     """The name of every module that `python -X importtime ARGS` imports."""
     r = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True)
@@ -144,7 +161,8 @@ FLOAT_CALLS = (
 
 
 def test_scalar_entry_points_never_import_numpy(tmp_path):
-    runs = [("-c", "import fiberspin"), ("-c", FLOAT_CALLS), *_scalar_runs(tmp_path)]
+    scalar_modules = "import fiberspin as fs\nfs.errors, fs.feasibility, fs.network, fs.numerics\n"
+    runs = [("-c", "import fiberspin"), ("-c", scalar_modules), ("-c", FLOAT_CALLS), *_scalar_runs(tmp_path)]
     for args in runs:
         modules = _imports(*args)
         assert "numpy" not in modules, args
