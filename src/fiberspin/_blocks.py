@@ -84,14 +84,6 @@ _DIGIT_LANES = _digit_lanes()
 _POINT_PATTERNS = _point_patterns()
 
 
-def check_finite(table) -> np.ndarray:
-    """table as a float64 array; ValueError if a value is not finite."""
-    a = np.asarray(table, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("refusing to format a non-finite number")
-    return a
-
-
 def _fmt9_pass(a: np.ndarray, opener: np.ndarray) -> str:
     """One pass of fmt9_block: rows of a finite array, each line LF-opened."""
     flat = (a + 0.0).ravel()  # -0.0 + 0.0 is +0.0, which prints unsigned like fmt9's zero
@@ -137,7 +129,9 @@ def _fmt9_pass(a: np.ndarray, opener: np.ndarray) -> str:
 
 def fmt9_block(table, sep: str) -> str:
     """cli.fmt9_block: rows of a 2-d float array as LF-terminated lines of sep-joined fmt9 values."""
-    a = check_finite(table)
+    a = np.asarray(table, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("refusing to format a non-finite number")
     if len(sep) != 1 or not sep.isascii() or sep == "\0":
         raise ValueError(f"separator must be one ASCII character other than NUL, not {sep!r}")
     rows, ncols = a.shape

@@ -2,10 +2,11 @@
 
 Subcommands: steady, coupling, evolve, taustar, feasibility, validate.
 Each subcommand parameter is declared once, in _PARAMS, as one `--name`
-flag and one config key. Every subcommand, validate included, reads
---config: flat `key = value` lines with # comments, keyed by its flag
-names. Parameter resolution order is flags > preset > config file >
-built-in defaults.
+flag and one config key, and each preset once, in _PRESETS. Every
+subcommand, validate included, reads --config: flat `key = value` lines
+with # comments, keyed by its flag names. Parameter resolution order is
+flags > preset > config file > built-in defaults. A flag's value may
+start with "-": main joins it to its flag as --flag=value for argparse.
 Numeric output uses 9 significant digits, locale-independent, and is
 byte-identical across repeated invocations, threaded sweeps included.
 `evolve` computes, checks, formats and writes its trace one block of
@@ -16,17 +17,17 @@ fiberspin._blocks, 4,096 rows a pass: each cell's digits come from one
 correctly rounded integer, laid out in a fixed-width byte field whose
 pad bytes are dropped at the end, and the rare cell that the integer
 cannot be trusted for (a scientific form, or a value within 1e-6 of a
-rounding tie) gets fmt9's own text. The checks that can refuse a trace,
-the grid guards on the whole grid and the values of the first block,
-all run before anything is written.
+rounding tie) gets fmt9's own text. _emit writes every subcommand's
+rows, and says what must run before it so that a refused run writes
+nothing.
 
 This module imports only the scalar modules, errors, feasibility,
 network and numerics, none of which imports numpy. So steady, coupling
 and feasibility, --help and a usage error never import numpy. What
 needs arrays is imported where it is first used: entanglement, validate
 and numpy by cmd_evolve, cmd_taustar and cmd_validate, and the block
-formatter fiberspin._blocks by fmt9_block and _emit. taustar imports
-its thread pool only when it runs more than one thread.
+formatter fiberspin._blocks by fmt9_block. taustar imports its thread
+pool only when it runs more than one thread.
 
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
 3 self-check failure; each FiberspinError class carries its own as
@@ -45,6 +46,7 @@ import math
 import os
 import re
 import sys
+import types
 from collections.abc import Iterable
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -73,17 +75,6 @@ class _CliUsage(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # a token that starts with "-" and a digit or "." is a value, as in
-        # --drive-re -1e-3 or --etas-log -0.1:0.4:3; argparse's own pattern
-        # takes only plain negative decimals, and no flag here looks like one.
-        # _negative_number_matcher is argparse's private hook, which it
-        # reads with .match; if a release renames it, this assignment does
-        # nothing, and the three tests in tests/test_cli.py that pass
-        # -1e-3, -0.1,0.2 and -0.1:0.4:3 as values fail
-        self._negative_number_matcher = re.compile(r"-[0-9.]")
-
     def error(self, message):
         raise _CliUsage(message)
 
@@ -111,7 +102,13 @@ _NETWORK_PRESETS = {
     },
 }
 
-_FEASIBILITY_PRESET = "paper-feasibility"
+#: subcommand -> {preset name: the parameters it sets}; feasibility's only
+#: preset is its defaults, the paper's numbers
+_PRESETS = {
+    "steady": _NETWORK_PRESETS,
+    "coupling": _NETWORK_PRESETS,
+    "feasibility": {"paper-feasibility": {}},
+}
 
 #: relative asymmetry beyond which the coupling report flags theta1 != theta2
 _THETA_WARN = 1e-9
@@ -144,37 +141,32 @@ def fmt9_block(table: np.ndarray, sep: str) -> str:
     return _blocks.fmt9_block(table, sep)
 
 
-def _emit(
-    rows: list[tuple[str, ...] | Iterable[np.ndarray]], fmt: str, out: str | None, kv: bool = True
-) -> None:
-    """Render rows and write them to stdout or a file, LF-terminated.
+def _emit(rows: Iterable[tuple[str, ...] | str], fmt: str, out: str | None, kv: bool = True) -> None:
+    """Write rows to stdout or a file, LF-terminated, each as it is drawn.
 
-    A row is a tuple of strings, or an iterable of 2-d float arrays, the
-    blocks of a table, each array row printed as one line of values as fmt9
-    would print them. Blocks are drawn one at a time as they are written,
-    so a table is never held whole. The first block of each table is drawn
-    and checked finite before the file is opened or stdout written;
-    fmt9_block checks every later one as it renders it. A later block that
-    fails, in its own checks or in its source's, leaves stdout cut short,
-    and removes the out file if this call created it. A caller that must
-    leave no partial output runs whatever can refuse a later block before
-    this call, as cmd_evolve does through entanglement_blocks.
-    kv=True renders two-element rows as `key = value` report lines in text
-    mode; kv=False renders every row as space-joined columns.
+    A row is a tuple of strings, rendered here, or a str of text already
+    rendered, written as it is; so a table drawn block by block is never
+    held whole. kv=True renders two-element rows as `key = value` report
+    lines in text mode; kv=False renders every row as space-joined columns.
+    Nothing here refuses a row. A caller whose rows can refuse the run
+    must make that refusal before the first row is drawn, as cmd_evolve
+    does through entanglement_blocks; a later row that raises leaves
+    stdout cut short, and removes the out file if this call created it.
     """
-    staged: list = []
-    for row in rows:
-        if not isinstance(row, tuple):
-            blocks = iter(row)
-            first = next(blocks, None)
-            if first is not None:
-                from ._blocks import check_finite
+    # writerow returns what its file's write returns, here the line itself
+    csv_line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
 
-                check_finite(first)
-                blocks = itertools.chain([first], blocks)
-            row = blocks
-        staged.append(row)
-    sep = "," if fmt == "csv" else " "
+    def line(row) -> str:
+        if isinstance(row, str):
+            return row
+        if fmt == "csv":
+            return csv_line(row)
+        if kv and len(row) == 2 and row[0] == "warn":
+            return f"WARN {row[1]}\n"
+        if kv and len(row) == 2:
+            return f"{row[0]} = {row[1]}\n"
+        return " ".join(row) + "\n"
+
     created = bool(out) and not os.path.lexists(out)
     written = False
     try:
@@ -183,19 +175,9 @@ def _emit(
         else:
             target = contextlib.nullcontext(sys.stdout)
         with target as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in staged:
-                if not isinstance(row, tuple):
-                    for block in row:
-                        fh.write(fmt9_block(block, sep))
-                elif fmt == "csv":
-                    writer.writerow(row)
-                elif kv and len(row) == 2 and row[0] == "warn":
-                    fh.write(f"WARN {row[1]}\n")
-                elif kv and len(row) == 2:
-                    fh.write(f"{row[0]} = {row[1]}\n")
-                else:
-                    fh.write(" ".join(row) + "\n")
+            # writelines drops each text before it draws the next row, so a
+            # block's text is freed before the next block is made
+            fh.writelines(map(line, rows))
         written = True
     except OSError as exc:
         if not out:
@@ -280,8 +262,8 @@ _COMMANDS = {
 }
 
 
-def _resolve(args, preset: dict | None = None) -> dict:
-    """Merge defaults < config < preset < explicit flags over the subcommand's _PARAMS."""
+def _resolve(args) -> dict:
+    """Merge defaults < config < --preset < explicit flags over the subcommand's _PARAMS."""
     params = _PARAMS[args.subcommand]
     merged = {name: default for name, (_, default) in params.items()}
     if args.config:
@@ -289,8 +271,8 @@ def _resolve(args, preset: dict | None = None) -> dict:
             if key not in params:
                 raise _CliUsage(f"unknown config key {key!r} for this subcommand")
             merged[key] = _cast(key, value, params[key][0])
-    if preset:
-        merged.update(preset)
+    if getattr(args, "preset", None):
+        merged.update(_PRESETS[args.subcommand][args.preset])
     for name in params:
         if getattr(args, name) is not None:
             merged[name] = getattr(args, name)
@@ -298,7 +280,7 @@ def _resolve(args, preset: dict | None = None) -> dict:
 
 
 def _network_params(args) -> NetworkParams:
-    cfg = _resolve(args, _NETWORK_PRESETS.get(args.preset))
+    cfg = _resolve(args)
     return NetworkParams(
         gamma=cfg["gamma"],
         delta=cfg["delta"],
@@ -307,7 +289,6 @@ def _network_params(args) -> NetworkParams:
         phi12=cfg["phi12"],
         phi21=cfg["phi21"],
         gamma_f=cfg["gamma_f"],
-        units="MHz",
     )
 
 
@@ -361,10 +342,11 @@ def cmd_evolve(args) -> None:
     from .entanglement import entanglement_blocks
 
     cfg = _resolve(args)
+    sep = "," if args.format == "csv" else " "
     # the whole-grid guards and the first block run here, before _emit opens anything
     blocks = entanglement_blocks(cfg["eta"], cfg["tau_max"], cfg["step"])
-    table = (np.column_stack((b.taus, b.values)) for b in blocks)
-    _emit([("tau", "entanglement"), table], args.format, args.out, kv=False)
+    texts = (fmt9_block(np.column_stack((b.taus, b.values)), sep) for b in blocks)
+    _emit(itertools.chain([("tau", "entanglement")], texts), args.format, args.out, kv=False)
 
 
 #: most etas one --etas-log grid may ask for; each is a full tau_star scan
@@ -415,8 +397,6 @@ def cmd_taustar(args) -> None:
 
 
 def cmd_feasibility(args) -> None:
-    if args.preset is not None and args.preset != _FEASIBILITY_PRESET:
-        raise _CliUsage(f"feasibility supports only the preset {_FEASIBILITY_PRESET!r}")
     cfg = _resolve(args)
     if cfg["chi"] is not None and not math.isfinite(cfg["chi"]):
         raise _CliUsage(f"chi must be finite, got {cfg['chi']!r}")
@@ -473,11 +453,9 @@ def build_parser() -> _Parser:
         for name, (parse, _) in _PARAMS[command].items():
             metavar = "E1,E2,..." if name == "etas" else None
             sub.add_argument("--" + name.replace("_", "-"), type=parse, metavar=metavar)
-        if command in ("steady", "coupling"):
-            sub.add_argument("--preset", choices=sorted(_NETWORK_PRESETS))
-        elif command == "feasibility":
-            sub.add_argument("--preset")
-        elif command == "taustar":
+        if command in _PRESETS:
+            sub.add_argument("--preset", choices=sorted(_PRESETS[command]))
+        if command == "taustar":
             sub.add_argument("--etas-log", metavar="START:STOP:COUNT")
         sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
         sub.add_argument("--format", choices=("csv", "text"), default=fmt, help="output format")
@@ -487,9 +465,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_dashed_values(argv: list[str]) -> list[str]:
+    """argv with each long flag and a following "-<digit or .>" token joined as --flag=value.
+
+    argparse takes --drive-re -1e-3 for two flags, since -1e-3 is no plain
+    negative decimal. Every long flag here but --help takes a value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        takes_value = flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+        if takes_value and re.match(r"-[0-9.]", token):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_dashed_values(sys.argv[1:] if argv is None else argv))
         args.func(args)
         sys.stdout.flush()
         return 0

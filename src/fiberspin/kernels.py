@@ -28,13 +28,18 @@ trigonometry, and its C^2 depends only on its block and its offset in
 the block: a call that starts at a block of a longer grid (the start
 argument) returns that block's values bit for bit. entanglement.tau_star
 relies on this. While a phase stays below 2**60 it is within a few ulp
-of the exact one, so E is closer to the exact trace (about 1e-14 at
-tau = 1e4) than the evolve_analytic route, whose phase arguments round
-to about 1e-11 there.
+of omega*tau for the rounded omega. omega = 2*hypot(1, eta) itself
+is off by about 1e-16 relative or less, an error the phase carries
+times tau. Against a 40-digit trace at the exact grid times, over 30,000
+points with eta from 1e-3 to 1e3 and tau up to 1e4, E was off by at most
+2.0e-12; the evolve_analytic route was off by up to 3.4e-12 on 20,000
+of those points (tests/test_accuracy.py).
 
 E follows from C^2 by the binary entropy, as in
 entanglement.eof_from_concurrence. Every operation runs in a fixed order
-on float64 arrays, so results are a pure function of the arguments.
+on float64 arrays, so for one numpy build and CPU dispatch target the
+results are a pure function of the arguments; numpy's log2, among
+others, may round differently on another dispatch target.
 """
 
 from __future__ import annotations

@@ -59,10 +59,10 @@ EPS_SINGULAR = 1e-9
 class NetworkParams:
     """Parameters of the fiber-linked cavity pair, one set or a stack of them.
 
-    All rates (gamma, delta, chi, drive) share one unit system, named by
-    the units tag; the physics only depends on their ratios. Phases are
-    stored reduced to [0, 2*pi). gamma_f is the dimensionless amplitude
-    loss exponent per fiber traversal.
+    All rates (gamma, delta, chi, drive) share one unit system; the
+    physics only depends on their ratios. Phases are stored reduced to
+    [0, 2*pi). gamma_f is the dimensionless amplitude loss exponent per
+    fiber traversal.
 
     Scalars give one set, stored as floats and a complex drive. If any
     field is an array, list or tuple, the set is a stack: every field
@@ -79,7 +79,6 @@ class NetworkParams:
     phi12: float
     phi21: float
     gamma_f: float = 0.0
-    units: str = "arb"
 
     def __post_init__(self):
         names = ("gamma", "delta", "chi", "drive", "phi12", "phi21", "gamma_f")

@@ -2,9 +2,12 @@
 
 import argparse
 import math
+import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from fiberspin import errors
 from fiberspin._blocks import _PASS_ROWS
 from fiberspin.cli import (
     _CliUsage,
-    _emit,
     _resolve,
     build_parser,
     fmt9,
@@ -271,15 +273,13 @@ def test_evolve_fails_before_writing(monkeypatch, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("error: usage:")
 
-    # the writer itself refuses a non-finite table before opening --out or writing stdout
-    table = np.zeros((3, 2))
-    table[2, 1] = math.inf
+    # nor does it create --out
     out = tmp_path / "partial.csv"
-    for target in (str(out), None):
-        with pytest.raises(ValueError):
-            _emit([("tau", "entanglement"), iter([table])], "csv", target, kv=False)
+    assert main(["evolve", "--tau-max", "1", "--step", "0.01", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: usage:")
     assert not out.exists()
-    assert capsys.readouterr().out == ""
 
 
 def test_evolve_removes_its_out_file_when_a_later_block_fails(monkeypatch, capsys, tmp_path):
@@ -785,6 +785,73 @@ def test_every_parameter_flag_is_a_config_key(command, tmp_path):
         cfg.write_text(f"{flag[2:]} = 1\n", encoding="utf-8")
         with pytest.raises(_CliUsage, match="unknown config key"):
             _resolve(build_parser().parse_args([command, "--config", str(cfg)]))
+
+
+@pytest.mark.parametrize("value", ["-1", "-1e0"])
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for command in SUBCOMMANDS for flag in sorted(_long_flags(command))]
+)
+def test_a_dashed_value_reads_as_its_joined_form(command, flag, value, capsys, monkeypatch, tmp_path):
+    # every long flag but --help takes a value; -1e0, unlike -1, is no plain
+    # negative decimal, so argparse alone would take it for a flag
+    monkeypatch.chdir(tmp_path)  # --out -1 writes a file named -1
+    written = tmp_path / value
+    runs = []
+    for argv in ([command, flag, value], [command, f"{flag}={value}"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err, written.exists() and written.read_bytes()))
+        written.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert "expected one argument" not in runs[0][2]
+
+
+def test_help_before_a_dashed_token_still_prints_help(capsys):
+    # --help takes no value, so the token after it is not joined to it
+    with pytest.raises(SystemExit) as exit_:
+        main(["steady", "--help", "-1"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fiberspin steady")
+
+
+#: other CPython minor versions, whose argparse may read dashed values differently
+OTHER_PYTHONS = [f"python3.{minor}" for minor in range(10, 14) if minor != sys.version_info.minor]
+
+
+def _other_pythons():
+    """Paths of the OTHER_PYTHONS on PATH that start."""
+    found = []
+    for name in OTHER_PYTHONS:
+        path = shutil.which(name)
+        try:
+            if path and subprocess.run([path, "--version"], capture_output=True, timeout=60).returncode == 0:
+                found.append(path)
+        except (OSError, subprocess.TimeoutExpired):
+            pass
+    return found
+
+
+def test_dashed_values_parse_alike_on_other_pythons():
+    # steady, coupling and feasibility never import numpy, so they run on an
+    # interpreter that has only the standard library
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip(f"none of {', '.join(OTHER_PYTHONS)} runs on this host")
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for exe in pythons:
+        for command, flag, value in (
+            ("steady", "--drive-re", "-1e-3"),
+            ("coupling", "--phi12", "-0.3"),
+            ("feasibility", "--chi", "-5"),
+        ):
+            spaced, joined = (
+                subprocess.run([exe, "-m", "fiberspin", command, *argv], capture_output=True, env=env)
+                for argv in ([flag, value], [f"{flag}={value}"])
+            )
+            assert spaced.returncode == 0, (exe, command, spaced.stderr)
+            assert (spaced.stdout, spaced.stderr) == (joined.stdout, joined.stderr), (exe, command)
+            assert joined.returncode == 0
 
 
 #: per subcommand: arguments both runs share, then one parameter and its value
