@@ -1,16 +1,26 @@
-"""The numpy byte formatter behind cli.fmt9_block.
+"""The numpy byte formatter behind cli.fmt9_block and cli.cmd_evolve.
 
 cli imports this module only when it writes a table, so the subcommands
 that print none never import numpy, and the lookup tables below are
 built once, on that first import.
 
-Rows are rendered _PASS_ROWS at a time, on whole arrays of uint32 lanes,
-with Python work only for the rare fallback cells below. Each cell gets
-a _FIELD-byte field whose pad (zero) bytes one boolean compress drops at
-the end of the pass. Per cell, d is fmt9's digit count, from numpy's
-log10 rechecked with math.log10 near integers, and q = rint(y),
-y = |x| 10**d, is the integer whose digits are printed. q with a 0
-inserted at place d is cut into 4-digit groups, looked up in
+A Formatter renders rows _PASS_ROWS at a time, on whole arrays of uint32
+lanes, with Python work only for the rare fallback cells below. It owns
+every array a pass works in and the buffer its text lands in: they are
+made once, when the Formatter is, sized for one pass of its ncols
+columns, and each step of a pass writes into them with out=. Per pass,
+only np.compress's own index array and the index lists of rare cells
+are allocated, and glibc serves them from the heap the first pass grew.
+A run that made its arrays afresh every pass would have glibc trim the
+freed heap and the next pass fault it back in: a 10^6-row `evolve --out`
+took 32,000 to 34,000 minor page faults that way, and takes about 5,800
+so, of which about 4,900 are the interpreter's and numpy's start.
+
+Each cell gets a _FIELD-byte field whose pad (zero) bytes one boolean
+compress drops at the end of the pass. Per cell, d is fmt9's digit
+count, from numpy's log10 rechecked with math.log10 near integers, and
+q = rint(y), y = |x| 10**d, is the integer whose digits are printed. q
+with a 0 inserted at place d is cut into 4-digit groups, looked up in
 _DIGIT_LANES, and the _POINT_PATTERNS of d add the zeros that a value
 below 1 needs and turn the inserted 0 into the point.
 
@@ -27,13 +37,14 @@ call time so that a wrapper bound there sees every fallback call.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from . import cli
 
-#: rows fmt9_block renders per pass; the pass's arrays peak at about 0.4 kB
-#: a two-column row, 1.6 MB a pass, beside the 16,384-row block's text
+#: rows a Formatter renders per pass; its arrays take about 0.2 kB a cell,
+#: 1.6 MB for two columns
 _PASS_ROWS = 4096
 
 #: a cell's field: byte 0 opens it (sep, or LF before a row's first cell),
@@ -46,6 +57,9 @@ _LANE = np.dtype("<u4")
 
 #: 10**d for every digit count d fmt9 prints in fixed form; each is exact
 _POW10 = 10.0 ** np.arange(17)
+
+#: the sign byte of a negative cell, in lane 0
+_MINUS = np.uint32(ord("-") << 8)
 
 
 def _digit_lanes() -> np.ndarray:
@@ -84,65 +98,151 @@ _DIGIT_LANES = _digit_lanes()
 _POINT_PATTERNS = _point_patterns()
 
 
-def _fmt9_pass(a: np.ndarray, opener: np.ndarray) -> str:
-    """One pass of fmt9_block: rows of a finite array, each line LF-opened."""
-    flat = (a + 0.0).ravel()  # -0.0 + 0.0 is +0.0, which prints unsigned like fmt9's zero
-    n = flat.size
-    mag = np.abs(flat)
-    sci = (mag != 0.0) & ((mag < 1e-8) | (mag >= 1e12))
-    # zeros (and scientific values, whose digits go unused) take log10(1) = 0,
-    # so their digit count is fmt9's 8
-    safe = np.where(sci | (mag == 0.0), 1.0, mag)
-    lg = np.log10(safe)
-    # near an exact power of ten numpy's log10 may round to the other side of
-    # the integer than math.log10, which fmt9 uses
-    for i in np.flatnonzero(np.abs(lg - np.rint(lg)) < 1e-9).tolist():
-        lg[i] = math.log10(safe[i])
-    # fixed-form values lie in [1e-8, 1e12), so d never reaches fmt9's cap of 20
-    d = np.clip(8.0 - np.floor(lg), 0.0, 16.0).astype(np.intp)
-    scale = np.take(_POW10, d)
-    y = (mag * ~sci) * scale
-    q = np.rint(y)
-    fallback = sci | (np.abs(y - q) > 0.5 - 1e-6)
-    # q with a 0 digit inserted at place d, below 10**14 and exact in float64
-    z = q + 9.0 * scale * np.floor(q / scale)
-    # lanes 4 to 1 take z's 4-digit groups from the last, a group's leading
-    # zeros turning to pads once nothing is left above it; lane 0 stays pads
-    digits = np.zeros((n, _FIELD // 4), dtype=_LANE)
-    rest = z.astype(np.int64)
-    for lane in (4, 3, 2, 1):
-        up = rest // 10_000
-        digits[:, lane] = np.take(_DIGIT_LANES, rest - up * 10_000 + 10_000 * (up == 0))
-        rest = up
-    zeros, point = np.take(_POINT_PATTERNS, d, axis=1)
-    out = (digits | zeros) ^ point
-    out[:, 0] |= opener[:n] | (flat < 0) * np.uint32(ord("-") << 8)
-    # the lanes' bytes in field order, also on a big-endian host
-    cells = out.astype(_LANE, copy=False).view(np.uint8)
-    if fallback.any():
-        idx = np.flatnonzero(fallback)
-        texts = b"".join(cli.fmt9(flat[i]).encode("ascii").rjust(_FIELD - 1, b"\0") for i in idx.tolist())
-        cells[idx, 1:] = np.frombuffer(texts, dtype=np.uint8).reshape(idx.size, _FIELD - 1)
-    text = cells.ravel()
-    return text[text != 0].tobytes().decode("ascii")
+class Formatter:
+    """fmt9 lines of float tables with ncols columns, as ASCII bytes.
+
+    One Formatter serves one run: its work arrays are made here, once, and
+    every pass reuses them. A pass takes min(rows, _PASS_ROWS) rows, so a
+    caller whose tables are shorter passes their length, and a short, wide
+    table gets no buffers for rows it does not have. stream() gives the
+    text of consecutive tables as if they were one: block() yields each
+    pass's bytes as a view into the Formatter's own text buffer, valid
+    until the next one is drawn, so each must be written (or copied)
+    before the iterator goes on.
+    """
+
+    def __init__(self, ncols: int, sep: str, rows: int = _PASS_ROWS):
+        if len(sep) != 1 or not sep.isascii() or sep == "\0":
+            raise ValueError(f"separator must be one ASCII character other than NUL, not {sep!r}")
+        self._rows = max(min(rows, _PASS_ROWS), 1)
+        n = self._rows * ncols
+        self._floats = np.empty((9, n))
+        self._ints = np.empty((4, n), dtype=np.int64)
+        self._flags = np.empty((3, n), dtype=bool)
+        self._lane = np.empty(n, dtype=_LANE)
+        self._cells = np.empty((n, _FIELD // 4), dtype=_LANE)
+        self._point = np.empty((n, _FIELD // 4), dtype=_LANE)
+        self._keep = np.empty(n * _FIELD, dtype=bool)
+        self._text = np.empty(n * _FIELD, dtype=np.uint8)
+        # the LF that ends a row opens the next one: the stream's first LF is
+        # a pad until a row is out, and stream() adds a last one
+        opener = np.full(ncols, ord(sep), dtype=_LANE)
+        opener[:1] = ord("\n")
+        self._opener = np.tile(opener, self._rows)
+        self._opener[:1] = 0
+        self._opened = False
+
+    def stream(self, tables: Iterable) -> Iterator[memoryview | bytes]:
+        """The bytes of fmt9_block over the tables joined, one pass at a time."""
+        for table in tables:
+            yield from self.block(table)
+        if self._opened:
+            yield b"\n"
+
+    def block(self, table) -> Iterator[memoryview]:
+        """One table's rows, a pass's bytes at a time; non-finite values raise ValueError."""
+        a = np.asarray(table, dtype=np.float64)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("refusing to format a non-finite number")
+        if a.size == 0:
+            return
+        for i in range(0, len(a), self._rows):
+            yield self._pass(a[i : i + self._rows])
+
+    def _pass(self, a: np.ndarray) -> memoryview:
+        """The text of the rows of a, each line LF-opened, in the text buffer."""
+        n = a.size
+        x, mag, safe, lg, t, scale, y, q, z = self._floats[:, :n]
+        d, rest, up, idx = self._ints[:, :n]
+        sci, b, fallback = self._flags[:, :n]
+        lane, cells, point = self._lane[:n], self._cells[:n], self._point[:n]
+        # -0.0 + 0.0 is +0.0, which prints unsigned like fmt9's zero
+        np.add(a, 0.0, out=x.reshape(a.shape))
+        np.abs(x, out=mag)
+        # sci = (mag != 0) & ((mag < 1e-8) | (mag >= 1e12))
+        np.less(mag, 1e-8, out=sci)
+        np.greater_equal(mag, 1e12, out=b)
+        np.logical_or(sci, b, out=sci)
+        np.not_equal(mag, 0.0, out=b)
+        np.logical_and(sci, b, out=sci)
+        # zeros (and scientific values, whose digits go unused) take log10(1) = 0,
+        # so their digit count is fmt9's 8
+        np.equal(mag, 0.0, out=b)
+        np.logical_or(b, sci, out=b)
+        np.copyto(safe, mag)
+        np.copyto(safe, 1.0, where=b)
+        np.log10(safe, out=lg)
+        # near an exact power of ten numpy's log10 may round to the other side of
+        # the integer than math.log10, which fmt9 uses
+        np.rint(lg, out=t)
+        np.subtract(lg, t, out=t)
+        np.abs(t, out=t)
+        np.less(t, 1e-9, out=b)
+        for i in np.flatnonzero(b).tolist():
+            lg[i] = math.log10(safe[i])
+        # fixed-form values lie in [1e-8, 1e12), so d never reaches fmt9's cap of 20
+        np.floor(lg, out=t)
+        np.subtract(8.0, t, out=t)
+        np.clip(t, 0.0, 16.0, out=t)
+        np.copyto(d, t, casting="unsafe")
+        np.take(_POW10, d, out=scale, mode="clip")
+        # y = |x| 10**d, and 0 for scientific cells
+        np.copyto(y, mag)
+        np.copyto(y, 0.0, where=sci)
+        np.multiply(y, scale, out=y)
+        np.rint(y, out=q)
+        np.subtract(y, q, out=t)
+        np.abs(t, out=t)
+        np.greater(t, 0.5 - 1e-6, out=fallback)
+        np.logical_or(fallback, sci, out=fallback)
+        # z = q + 9 10**d floor(q / 10**d): q with a 0 digit inserted at place d,
+        # below 10**14 and exact in float64
+        np.divide(q, scale, out=t)
+        np.floor(t, out=t)
+        np.multiply(scale, 9.0, out=z)
+        np.multiply(z, t, out=z)
+        np.add(q, z, out=z)
+        # the zeros lanes, then lanes 4 to 1 ORed with z's 4-digit groups from the
+        # last, a group's leading zeros turning to pads once nothing is left above
+        # it, and lane 0 with the opener and the sign
+        np.take(_POINT_PATTERNS[0], d, axis=0, out=cells, mode="clip")
+        np.take(_POINT_PATTERNS[1], d, axis=0, out=point, mode="clip")
+        np.copyto(rest, z, casting="unsafe")
+        for k in (4, 3, 2, 1):
+            np.floor_divide(rest, 10_000, out=up)
+            np.multiply(up, 10_000, out=idx)
+            np.subtract(rest, idx, out=idx)
+            np.equal(up, 0, out=b)
+            np.add(idx, 10_000, out=idx, where=b)
+            np.take(_DIGIT_LANES, idx, out=lane, mode="clip")
+            np.bitwise_or(cells[:, k], lane, out=cells[:, k])
+            rest, up = up, rest
+        np.less(x, 0.0, out=b)
+        np.multiply(b, _MINUS, out=lane)
+        np.bitwise_or(lane, self._opener[:n], out=lane)
+        np.bitwise_or(cells[:, 0], lane, out=cells[:, 0])
+        np.bitwise_xor(cells, point, out=cells)
+        # the lanes' bytes in field order, also on a big-endian host
+        raw = cells.view(np.uint8)
+        if fallback.any():
+            where = np.flatnonzero(fallback)
+            texts = b"".join(cli.fmt9(x[i]).encode("ascii").rjust(_FIELD - 1, b"\0") for i in where.tolist())
+            raw[where, 1:] = np.frombuffer(texts, dtype=np.uint8).reshape(where.size, _FIELD - 1)
+        raw = raw.reshape(-1)
+        keep = self._keep[: raw.size]
+        np.not_equal(raw, 0, out=keep)
+        text = self._text[: np.count_nonzero(keep)]
+        np.compress(keep, raw, out=text)
+        self._opener[0] = ord("\n")
+        self._opened = True
+        return memoryview(text)
 
 
 def fmt9_block(table, sep: str) -> str:
     """cli.fmt9_block: rows of a 2-d float array as LF-terminated lines of sep-joined fmt9 values."""
     a = np.asarray(table, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("refusing to format a non-finite number")
-    if len(sep) != 1 or not sep.isascii() or sep == "\0":
-        raise ValueError(f"separator must be one ASCII character other than NUL, not {sep!r}")
     rows, ncols = a.shape
+    formatter = Formatter(ncols, sep, rows)
     if a.size == 0:
         return "\n" * rows
-    # the LF that ends a row opens the next one: the first LF is dropped and
-    # a last one is added
-    opener = np.full(ncols, ord(sep), dtype=_LANE)
-    opener[0] = ord("\n")
-    opener = np.tile(opener, min(rows, _PASS_ROWS))
-    parts = [_fmt9_pass(a[i : i + _PASS_ROWS], opener) for i in range(0, rows, _PASS_ROWS)]
-    parts[0] = parts[0][1:]
-    parts.append("\n")
-    return "".join(parts)
+    return "".join(str(part, "ascii") for part in formatter.stream([a]))

@@ -12,22 +12,26 @@ byte-identical across repeated invocations, threaded sweeps included.
 `evolve` computes, checks, formats and writes its trace one block of
 16,384 rows at a time, so no whole-grid array or text is ever held and
 its memory is the same at any grid size; its bytes are those of fmt9
-applied to every value. fmt9_block makes them with numpy, in
-fiberspin._blocks, 4,096 rows a pass: each cell's digits come from one
-correctly rounded integer, laid out in a fixed-width byte field whose
-pad bytes are dropped at the end, and the rare cell that the integer
-cannot be trusted for (a scientific form, or a value within 1e-6 of a
-rounding tie) gets fmt9's own text. _emit writes every subcommand's
-rows, and says what must run before it so that a refused run writes
-nothing.
+applied to every value. A fiberspin._blocks.Formatter makes them with
+numpy, 4,096 rows a pass: each cell's digits come from one correctly
+rounded integer, laid out in a fixed-width byte field whose pad bytes
+are dropped at the end, and the rare cell that the integer cannot be
+trusted for (a scientific form, or a value within 1e-6 of a rounding
+tie) gets fmt9's own text. The buffers of a run are made once: the
+Formatter's work arrays and text buffer, and cmd_evolve's one table
+that each block is copied into; so the heap does not churn from block
+to block. fmt9_block is the same Formatter, its bytes decoded to str.
+_emit writes every subcommand's rows as bytes, to the --out file or to
+sys.stdout.buffer, and says what must run before it so that a refused
+run writes nothing.
 
 This module imports only the scalar modules, errors, feasibility,
 network and numerics, none of which imports numpy. So steady, coupling
 and feasibility, --help and a usage error never import numpy. What
 needs arrays is imported where it is first used: entanglement, validate
 and numpy by cmd_evolve, cmd_taustar and cmd_validate, and the block
-formatter fiberspin._blocks by fmt9_block. taustar imports its thread
-pool only when it runs more than one thread.
+formatter fiberspin._blocks by cmd_evolve and fmt9_block. taustar
+imports its thread pool only when it runs more than one thread.
 
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
 3 self-check failure; each FiberspinError class carries its own as
@@ -141,13 +145,21 @@ def fmt9_block(table: np.ndarray, sep: str) -> str:
     return _blocks.fmt9_block(table, sep)
 
 
-def _emit(rows: Iterable[tuple[str, ...] | str], fmt: str, out: str | None, kv: bool = True) -> None:
+def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None, kv: bool = True) -> None:
     """Write rows to stdout or a file, LF-terminated, each as it is drawn.
 
-    A row is a tuple of strings, rendered here, or a str of text already
-    rendered, written as it is; so a table drawn block by block is never
-    held whole. kv=True renders two-element rows as `key = value` report
-    lines in text mode; kv=False renders every row as space-joined columns.
+    A row is a tuple of strings, rendered here and encoded as UTF-8, or a
+    bytes-like object of text already rendered, written as it is; so a
+    table drawn block by block is never held whole, and a view into a
+    buffer that the next row reuses is written before that row is drawn.
+    kv=True renders two-element rows as `key = value` report lines in text
+    mode; kv=False renders every row as space-joined columns.
+
+    The bytes go to a binary stream: the out file opened "wb", or
+    sys.stdout.buffer after sys.stdout is flushed, so that text printed
+    earlier comes first. A sys.stdout without a buffer, such as an
+    io.StringIO put in its place, gets the same text decoded from UTF-8.
+
     Nothing here refuses a row. A caller whose rows can refuse the run
     must make that refusal before the first row is drawn, as cmd_evolve
     does through entanglement_blocks; a later row that raises leaves
@@ -156,28 +168,33 @@ def _emit(rows: Iterable[tuple[str, ...] | str], fmt: str, out: str | None, kv: 
     # writerow returns what its file's write returns, here the line itself
     csv_line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
 
-    def line(row) -> str:
-        if isinstance(row, str):
+    def line(row):
+        if not isinstance(row, tuple):
             return row
         if fmt == "csv":
-            return csv_line(row)
-        if kv and len(row) == 2 and row[0] == "warn":
-            return f"WARN {row[1]}\n"
-        if kv and len(row) == 2:
-            return f"{row[0]} = {row[1]}\n"
-        return " ".join(row) + "\n"
+            text = csv_line(row)
+        elif kv and len(row) == 2 and row[0] == "warn":
+            text = f"WARN {row[1]}\n"
+        elif kv and len(row) == 2:
+            text = f"{row[0]} = {row[1]}\n"
+        else:
+            text = " ".join(row) + "\n"
+        return text.encode("utf-8")
 
+    # writelines drops each row before it draws the next, so a block's text
+    # is freed, or its buffer free to reuse, before the next block is made
+    chunks = map(line, rows)
     created = bool(out) and not os.path.lexists(out)
     written = False
     try:
         if out:
-            target = open(out, "w", encoding="utf-8", newline="")
+            with open(out, "wb") as fh:
+                fh.writelines(chunks)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(chunks)
         else:
-            target = contextlib.nullcontext(sys.stdout)
-        with target as fh:
-            # writelines drops each text before it draws the next row, so a
-            # block's text is freed before the next block is made
-            fh.writelines(map(line, rows))
+            sys.stdout.writelines(str(chunk, "utf-8") for chunk in chunks)
         written = True
     except OSError as exc:
         if not out:
@@ -339,13 +356,22 @@ def cmd_coupling(args) -> None:
 def cmd_evolve(args) -> None:
     import numpy as np
 
-    from .entanglement import entanglement_blocks
+    from . import _blocks
+    from .entanglement import _BLOCK_ROWS, entanglement_blocks
 
     cfg = _resolve(args)
-    sep = "," if args.format == "csv" else " "
     # the whole-grid guards and the first block run here, before _emit opens anything
     blocks = entanglement_blocks(cfg["eta"], cfg["tau_max"], cfg["step"])
-    texts = (fmt9_block(np.column_stack((b.taus, b.values)), sep) for b in blocks)
+    formatter = _blocks.Formatter(2, "," if args.format == "csv" else " ")
+    table = np.empty((_BLOCK_ROWS, 2))
+
+    def filled(block) -> np.ndarray:
+        rows = table[: len(block.values)]
+        rows[:, 0] = block.taus
+        rows[:, 1] = block.values
+        return rows
+
+    texts = formatter.stream(map(filled, blocks))
     _emit(itertools.chain([("tau", "entanglement")], texts), args.format, args.out, kv=False)
 
 

@@ -1,6 +1,8 @@
 """Subprocess checks of the command-line interface and its output contract."""
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import shutil
@@ -14,6 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
+
 from fiberspin import (
     NetworkParams,
     coupling,
@@ -24,7 +31,7 @@ from fiberspin import (
 )
 from fiberspin import cli as cli_module
 from fiberspin.entanglement import _BLOCK_ROWS
-from fiberspin import errors
+from fiberspin import _blocks, errors
 from fiberspin._blocks import _PASS_ROWS
 from fiberspin.cli import (
     _CliUsage,
@@ -242,6 +249,20 @@ def test_fmt9_block_memory_stays_small():
     assert peak <= _TEMPLATE_PEAK
 
 
+def test_fmt9_block_buffers_only_the_rows_it_has():
+    # a short, wide table: buffers for a whole 4,096-row pass of 20,000
+    # columns would take about 16 GB; its own two rows take about 300 B a cell
+    table = np.random.default_rng(5).uniform(-1e3, 1e3, (2, 20_000))
+    tracemalloc.start()
+    try:
+        text = fmt9_block(table, ",")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _fmt9_lines(table, ",")
+    assert peak < 400 * table.size, peak
+
+
 def test_evolve_streams_blocks_byte_identical(cli, tmp_path):
     # 150,001 rows: nine full 16,384-row blocks and a partial tenth
     trace = entanglement_trace(0.1, 1500.0, 0.01)
@@ -330,18 +351,18 @@ def _evolve_peak(tmp_path, tau_max: str) -> int:
 
 def test_evolve_never_holds_the_whole_grid(monkeypatch, tmp_path):
     kernel_calls, formatted = [], []
-    real_kernel, real_format = kernels.ent_trace_grid, cli_module.fmt9_block
+    real_kernel, real_format = kernels.ent_trace_grid, _blocks.Formatter.block
 
     def kernel(eta, tau0, step, n, start=0):
         kernel_calls.append((start, n))
         return real_kernel(eta, tau0, step, n, start=start)
 
-    def format_block(table, sep):
+    def format_block(self, table):
         formatted.append(len(table))
-        return real_format(table, sep)
+        return real_format(self, table)
 
     monkeypatch.setattr(kernels, "ent_trace_grid", kernel)
-    monkeypatch.setattr(cli_module, "fmt9_block", format_block)
+    monkeypatch.setattr(_blocks.Formatter, "block", format_block)
     out = tmp_path / "trace.csv"
     assert main(["evolve", "--tau-max", "1500", "--step", "0.01", "--out", str(out)]) == 0
     rows = 150_001
@@ -356,6 +377,30 @@ def test_evolve_never_holds_the_whole_grid(monkeypatch, tmp_path):
     small = _evolve_peak(tmp_path, "1000")  # 10^5 rows
     large = _evolve_peak(tmp_path, "4000")  # 4 * 10^5 rows
     assert large <= 1.25 * small, (small, large)
+
+
+#: most minor page faults a child `evolve --out` may add from 10^5 to 4 * 10^5
+#: rows. Measured on Linux (glibc, numpy 2.4): 0-1 with the formatter's arrays
+#: made once per run; about 8,800 when every pass makes its arrays afresh and
+#: every block is joined into one text, as glibc trims the freed heap and the
+#: next pass faults it back in; about 1,650 when only the float work arrays
+#: are made afresh each pass
+_FAULT_GROWTH = 500
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads a child's ru_minflt from os.wait4, as Linux fills it")
+def test_evolve_page_faults_do_not_grow_with_the_grid(tmp_path):
+    def faults(tau_max: str) -> int:
+        argv = [sys.executable, "-m", "fiberspin", "evolve", "--tau-max", tau_max, "--out", str(tmp_path / "t.csv")]
+        proc = subprocess.Popen(argv)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_minflt
+
+    small = faults("1000")  # 10^5 rows
+    large = faults("4000")  # 4 * 10^5 rows
+    assert large - small < _FAULT_GROWTH, (small, large)
 
 
 def test_steady_sym_preset(cli):
@@ -760,6 +805,59 @@ def test_golden_cli_transcripts(capsys):
         assert main(list(argv)) == 0, argv
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (expected, ""), argv
+
+
+def test_emit_keeps_order_with_earlier_prints_on_every_stdout(capsys):
+    # _emit flushes sys.stdout and writes bytes to its buffer; a stdout with no
+    # buffer, such as io.StringIO, gets the same text decoded. A TextIOWrapper
+    # that is not write-through holds "before" until that flush.
+    for argv, expected in GOLDEN_TRANSCRIPTS.items():
+        wanted = "before\n" + expected + "after\n"
+        print("before")
+        assert main(list(argv)) == 0, argv
+        print("after")
+        assert capsys.readouterr() == (wanted, ""), argv
+        wrapped = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+        text_only = io.StringIO()
+        for sink in (wrapped, text_only):
+            with contextlib.redirect_stdout(sink):
+                print("before")
+                assert main(list(argv)) == 0, argv
+                print("after")
+        wrapped.flush()
+        assert wrapped.buffer.getvalue().decode("utf-8") == wanted, argv
+        assert text_only.getvalue() == wanted, argv
+        assert capsys.readouterr() == ("", ""), argv
+
+
+def _cpu_dispatch_targets() -> list[str]:
+    """numpy's runtime-dispatched CPU features that this CPU has, so dispatch picks them."""
+    return [name for name in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(name)]
+
+
+def test_golden_transcripts_do_not_follow_numpy_cpu_dispatch(cli):
+    # fmt9_block takes its digit counts from numpy's log10, whose last bit
+    # depends on the SIMD target numpy dispatches to (on AVX-512 it puts some
+    # FMT9_EDGES values on the other side of an integer than the baseline
+    # does); math.log10 rechecks the cells near an integer, so the bytes must
+    # not change when the dispatched targets are switched off
+    targets = _cpu_dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no CPU feature beyond its baseline here")
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    edges = [v for v, _ in FMT9_EDGES]
+    probe = (
+        f"import {_umath.__name__} as m; import numpy as np; from fiberspin.cli import fmt9, fmt9_block; "
+        f"xs = np.array({edges!r}); "
+        f"print(*(m.__cpu_features__[t] for t in {targets!r})); "
+        "print(fmt9_block(xs[:, None], ',') == ''.join(fmt9(x) + '\\n' for x in xs))"
+    )
+    check = subprocess.run([sys.executable, "-c", probe], capture_output=True, env={**os.environ, **env})
+    assert check.stdout.split() == [b"False"] * len(targets) + [b"True"], check.stderr
+    for argv, expected in GOLDEN_TRANSCRIPTS.items():
+        if argv[0] in ("evolve", "taustar"):
+            r = cli(*argv, env_extra=env)
+            assert (r.returncode, r.stdout, r.stderr) == (0, expected.encode("ascii"), b""), argv
 
 
 SUBCOMMANDS = ("steady", "coupling", "evolve", "taustar", "feasibility", "validate")
