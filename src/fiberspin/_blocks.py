@@ -1,4 +1,4 @@
-"""The numpy byte formatter behind cli.fmt9_block and cli.cmd_evolve.
+"""The numpy byte formatter behind cli.cmd_evolve, and fmt9_block, its test-facing entry point.
 
 cli imports this module only when it writes a table, so the subcommands
 that print none never import numpy, and the lookup tables below are
@@ -243,7 +243,7 @@ class Formatter:
 
 
 def fmt9_block(table, sep: str) -> str:
-    """cli.fmt9_block: rows of a 2-d float array as LF-terminated lines of sep-joined fmt9 values."""
+    """Rows of a 2-d float array as LF-terminated lines of sep-joined fmt9 values, as one str."""
     a = np.asarray(table, dtype=np.float64)
     rows, ncols = a.shape
     formatter = Formatter(ncols, sep, rows)

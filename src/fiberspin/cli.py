@@ -20,18 +20,17 @@ trusted for (a scientific form, or a value within 1e-6 of a rounding
 tie) gets fmt9's own text. The buffers of a run are made once: the
 Formatter's work arrays and text buffer, and cmd_evolve's one table
 that each block is copied into; so the heap does not churn from block
-to block. fmt9_block is the same Formatter, its bytes decoded to str.
-_emit writes every subcommand's rows as bytes, to the --out file or to
-sys.stdout.buffer, and says what must run before it so that a refused
-run writes nothing.
+to block. _emit writes every subcommand's rows as bytes, to the --out
+file or to sys.stdout.buffer, and says what must run before it so that
+a refused run writes nothing.
 
 This module imports only the scalar modules, errors, feasibility,
 network and numerics, none of which imports numpy. So steady, coupling
 and feasibility, --help and a usage error never import numpy. What
 needs arrays is imported where it is first used: entanglement, validate
 and numpy by cmd_evolve, cmd_taustar and cmd_validate, and the block
-formatter fiberspin._blocks by cmd_evolve and fmt9_block. taustar
-imports its thread pool only when it runs more than one thread.
+formatter fiberspin._blocks by cmd_evolve. taustar imports its thread
+pool only when it runs more than one thread.
 
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
 3 self-check failure; each FiberspinError class carries its own as
@@ -130,19 +129,6 @@ def fmt9(x: float) -> str:
         return f"{x:.8e}"
     digits = min(max(8 - math.floor(math.log10(ax)), 0), 20)
     return f"{x:.{digits}f}"
-
-
-def fmt9_block(table: np.ndarray, sep: str) -> str:
-    """Rows of a 2-d float array as LF-terminated lines of sep-joined values.
-
-    Byte-identical to joining fmt9(v) over each row, for sep one ASCII
-    character other than NUL. Non-finite values raise ValueError.
-    fiberspin._blocks makes the bytes with numpy, and says why they are
-    fmt9's; the rare cell it cannot vouch for gets fmt9's own text.
-    """
-    from . import _blocks
-
-    return _blocks.fmt9_block(table, sep)
 
 
 def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None, kv: bool = True) -> None:

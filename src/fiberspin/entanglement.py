@@ -53,10 +53,10 @@ _NORM_TOL = 1e-10
 _DM_TOL = 1e-10
 
 #: most points one trace grid may have; a larger request fails with BadGrid
-#: before any point is computed. entanglement_trace holds 2**25 float64 values
-#: in 256 MiB per array, so for it the cap bounds memory. entanglement_blocks
-#: holds one block at a time, so for it, and for `fiberspin evolve`, the cap
-#: bounds output size and run time: 2**25 rows are about 780 MB of CSV
+#: before any point is computed. entanglement_trace holds two 256 MiB arrays
+#: at the cap besides one block, 542 MiB peak RSS, so for it the cap
+#: bounds memory; entanglement_blocks and `fiberspin evolve` hold one block,
+#: so for them it bounds output size and run time: 2**25 rows are 780 MB of CSV
 MAX_GRID_POINTS = 2**25
 
 #: points per entanglement_blocks block, a multiple of kernels.BLOCK; at
@@ -188,23 +188,28 @@ class EntanglementTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.taus.shape != self.values.shape or self.taus.ndim != 1 or self.taus.size < 1:
+        taus, values, step = self.taus, self.values, self.step
+        if not (isinstance(taus, np.ndarray) and isinstance(values, np.ndarray)) or (
+            taus.shape != values.shape or taus.ndim != 1 or taus.size < 1
+        ):
             raise BadGrid("taus and values must be equal-length 1-d arrays")
-        if self.taus.size > 1:
-            d = np.diff(self.taus)
+        if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0.0):
+            raise BadGrid(f"step must be finite and > 0, got {step!r}")
+        # each check runs on _BLOCK_ROWS-sized slices, so no temporary spans
+        # the grid; the diff slices overlap by one tau to take every step
+        if taus.size > 1:
             # a tau k*step rounds by up to half an ulp of the largest tau, so
             # the step between two rounded taus may be off by one such ulp:
             # 5.8e-11 at tau = 3.4e5, beyond 1e-9 * step for step = 0.01
-            slack = 1e-9 * self.step + float(np.spacing(np.max(np.abs(self.taus))))
-            if not (np.all(d > 0.0) and float(np.max(np.abs(d - self.step))) <= slack):
-                raise BadGrid("taus must increase uniformly by step")
-        if not np.all((self.values >= 0.0) & (self.values <= 1.0 + 1e-9)):
-            raise ValueError("entanglement values escaped [0, 1]")
-
-    @property
-    def points(self):
-        """Ordered (tau, e) pairs."""
-        return list(zip(self.taus.tolist(), self.values.tolist()))
+            slack = 1e-9 * step + float(np.spacing(max(abs(float(taus.min())), abs(float(taus.max())))))
+            for lo in range(0, taus.size - 1, _BLOCK_ROWS):
+                d = np.diff(taus[lo : lo + _BLOCK_ROWS + 1])
+                if not (np.all(d > 0.0) and float(np.max(np.abs(d - step))) <= slack):
+                    raise BadGrid("taus must increase uniformly by step")
+        for lo in range(0, values.size, _BLOCK_ROWS):
+            v = values[lo : lo + _BLOCK_ROWS]
+            if not np.all((v >= 0.0) & (v <= 1.0 + 1e-9)):
+                raise ValueError("entanglement values escaped [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -240,24 +245,30 @@ def entanglement_trace(eta: float, tau_max: float, step: float) -> EntanglementT
     step must satisfy 0 < step <= 0.1 (coarser grids alias the beat
     structure) and tau_max >= step. The grid may have at most
     MAX_GRID_POINTS (2**25) points; a larger one raises BadGrid before
-    anything is allocated. E(0) = 0 since |gg> is a product state.
+    anything is allocated. E(0) = 0 since |gg> is a product state. The two
+    result arrays are made once and filled from entanglement_blocks, which
+    runs every guard and check, so besides them memory holds one block.
     """
+    blocks = entanglement_blocks(eta, tau_max, step)
     n = _grid_points(tau_max, step)
-    values = kernels.ent_trace_grid(eta, 0.0, step, n)
-    taus = np.arange(n, dtype=np.float64) * step
+    taus, values = np.empty(n), np.empty(n)
+    for lo, b in zip(range(0, n, _BLOCK_ROWS), blocks):
+        taus[lo : lo + b.taus.size] = b.taus
+        values[lo : lo + b.values.size] = b.values
     return EntanglementTrace(eta=eta, step=step, taus=taus, values=values)
 
 
 def entanglement_blocks(eta: float, tau_max: float, step: float) -> Iterator[EntanglementTrace]:
     """The entanglement_trace grid as consecutive traces of at most _BLOCK_ROWS points.
 
-    The blocks' taus and values are those of entanglement_trace(eta,
-    tau_max, step), bit for bit, and memory is one block whatever the grid
-    size. Everything that can refuse the grid runs before this returns:
-    entanglement_trace's grid guards, kernels.check_grid on the whole grid
-    (eta, and the phase at its last point, which a first block alone may
-    not reach), and the first block, made and checked. Each later block is
-    made, and checked by EntanglementTrace, when the iterator reaches it.
+    The blocks' taus and values are np.arange(n) * step and one
+    kernels.ent_trace_grid call on the whole n-point grid, bit for bit,
+    and memory is one block whatever the grid size. Everything that can
+    refuse the grid runs before this returns: the grid guards,
+    kernels.check_grid on the whole grid (eta, and the phase at its last
+    point, which a first block alone may not reach), and the first block,
+    made and checked. Each later block is made, and checked by
+    EntanglementTrace, when the iterator reaches it.
     """
     n = _grid_points(tau_max, step)
     kernels.check_grid(eta, 0.0, step, n)

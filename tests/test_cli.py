@@ -32,13 +32,12 @@ from fiberspin import (
 from fiberspin import cli as cli_module
 from fiberspin.entanglement import _BLOCK_ROWS
 from fiberspin import _blocks, errors
-from fiberspin._blocks import _PASS_ROWS
+from fiberspin._blocks import _PASS_ROWS, fmt9_block
 from fiberspin.cli import (
     _CliUsage,
     _resolve,
     build_parser,
     fmt9,
-    fmt9_block,
     main,
 )
 
@@ -847,7 +846,8 @@ def test_golden_transcripts_do_not_follow_numpy_cpu_dispatch(cli):
     env = {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
     edges = [v for v, _ in FMT9_EDGES]
     probe = (
-        f"import {_umath.__name__} as m; import numpy as np; from fiberspin.cli import fmt9, fmt9_block; "
+        f"import {_umath.__name__} as m; import numpy as np; "
+        "from fiberspin.cli import fmt9; from fiberspin._blocks import fmt9_block; "
         f"xs = np.array({edges!r}); "
         f"print(*(m.__cpu_features__[t] for t in {targets!r})); "
         "print(fmt9_block(xs[:, None], ',') == ''.join(fmt9(x) + '\\n' for x in xs))"

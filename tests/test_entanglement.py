@@ -1,6 +1,8 @@
 """Concurrence (pure and mixed routes), entanglement of formation, traces."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -176,7 +178,6 @@ def test_trace_grid_shape_and_values():
     assert tr.values[0] == 0.0
     assert float(tr.taus[-1]) == pytest.approx(10.0, abs=1e-9)
     assert np.all((tr.values >= 0.0) & (tr.values <= 1.0))
-    assert len(tr.points) == 1001
 
 
 def test_trace_matches_pointwise_evolution():
@@ -208,16 +209,23 @@ class _KernelReached(Exception):
 
 def test_trace_grid_cap_refuses_before_allocating(monkeypatch):
     calls = []
+    check_grid = kernels.check_grid
 
-    def kernel(eta, tau0, step, n):
-        calls.append(n)
+    def checked(eta, tau0, step, n):
+        calls.append(("check_grid", n))
+        check_grid(eta, tau0, step, n)
+
+    def kernel(eta, tau0, step, n, start=0):
+        calls.append(("kernel", start))
         raise _KernelReached
 
+    monkeypatch.setattr(kernels, "check_grid", checked)
     monkeypatch.setattr(kernels, "ent_trace_grid", kernel)
     step = 0.0625  # binary-exact, so tau_max / step is an exact count
     with pytest.raises(_KernelReached):
         entanglement_trace(0.1, (MAX_GRID_POINTS - 1) * step, step)
-    assert calls == [MAX_GRID_POINTS]
+    # the whole grid passed check_grid, then its first block reached the kernel
+    assert calls == [("check_grid", MAX_GRID_POINTS), ("kernel", 0)]
     tracemalloc.start()
     try:
         for tau_max, s in ((MAX_GRID_POINTS * step, step), (1e7, 0.01), (1e300, 1e-300)):
@@ -226,7 +234,7 @@ def test_trace_grid_cap_refuses_before_allocating(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [MAX_GRID_POINTS]
+    assert calls == [("check_grid", MAX_GRID_POINTS), ("kernel", 0)]
     assert peak < 1 << 20
 
 
@@ -234,6 +242,32 @@ def test_trace_container_rejects_ragged_grid():
     taus = np.array([0.0, 0.01, 0.03])
     with pytest.raises(BadGrid):
         EntanglementTrace(eta=0.1, step=0.01, taus=taus, values=np.zeros(3))
+    # the checks run on _BLOCK_ROWS-sized slices; a bad step or value at
+    # either side of a slice edge, or at the grid's last point, still fails
+    grid = np.arange(2 * _BLOCK_ROWS + 1) * 0.01
+    for k in (_BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS):
+        bent, values = grid.copy(), np.zeros(grid.size)
+        bent[k:] += 0.005
+        values[k] = 1.5
+        with pytest.raises(BadGrid):
+            EntanglementTrace(eta=0.1, step=0.01, taus=bent, values=np.zeros(grid.size))
+        with pytest.raises(ValueError, match="escaped"):
+            EntanglementTrace(eta=0.1, step=0.01, taus=grid, values=values)
+
+
+def test_trace_container_refuses_lists_with_bad_grid():
+    with pytest.raises(BadGrid):
+        EntanglementTrace(eta=0.1, step=0.01, taus=[0.0, 0.01], values=[0.0, 0.0])
+    with pytest.raises(BadGrid):
+        EntanglementTrace(eta=0.1, step=0.01, taus=np.array([0.0, 0.01]), values=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("step", [math.nan, 0.0, -0.01, math.inf, -math.inf])
+def test_trace_container_refuses_a_bad_step_at_any_length(step):
+    # a one-point trace has no diff to carry the step into the grid check
+    for taus in (np.zeros(1), np.array([0.0, 0.01])):
+        with pytest.raises(BadGrid):
+            EntanglementTrace(eta=0.1, step=step, taus=taus, values=np.zeros(taus.size))
 
 
 def test_trace_container_accepts_rounded_taus_at_the_grid_cap():
@@ -250,6 +284,32 @@ def test_trace_container_accepts_rounded_taus_at_the_grid_cap():
         EntanglementTrace(eta=0.1, step=step, taus=bent, values=np.zeros(taus.size))
 
 
+#: the two float64 result arrays of a 2**22-point trace, 64 MiB
+_TRACE_ARRAYS = 2 * 8 * 2**22
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads a child's peak RSS from /proc/self/status")
+def test_trace_memory_is_its_two_arrays():
+    # the child's peak RSS after a one-block trace is its floor: the
+    # interpreter, numpy and one block's work. A 2**22-point trace may add
+    # its two result arrays and 10% more. Measured: 1.0002 times the arrays;
+    # a whole-grid kernel call with whole-grid checks read 2.5 times. The
+    # peak is VmHWM, not ru_maxrss: Linux carries a parent's ru_maxrss into
+    # its child across exec, so a test process larger than the child would
+    # hide the child's own peak
+    probe = (
+        "import re; from fiberspin.entanglement import _BLOCK_ROWS, entanglement_trace\n"
+        "def peak(): return re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1]\n"
+        "entanglement_trace(0.1, (_BLOCK_ROWS - 1) * 0.01, 0.01)\n"
+        "floor = peak()\n"
+        "entanglement_trace(0.1, (2**22 - 1) * 0.01, 0.01)\n"
+        "print(floor, peak())"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
+    floor, peak = (1024 * int(kib) for kib in r.stdout.split())
+    assert peak - floor <= 1.1 * _TRACE_ARRAYS, (floor, peak)
+
+
 @pytest.mark.parametrize(
     "eta, tau_max",
     # one short block, exactly one full block, one more point, exactly two, a
@@ -259,11 +319,17 @@ def test_trace_container_accepts_rounded_taus_at_the_grid_cap():
 )
 def test_blocks_are_the_trace_bit_for_bit(eta, tau_max):
     assert _BLOCK_ROWS == 16_384
-    whole = entanglement_trace(eta, tau_max, 0.01)
-    blocks = list(entanglement_blocks(eta, tau_max, 0.01))
+    step = 0.01
+    # the reference is one kernel call on the whole grid, which no trace makes
+    n = round(tau_max / step) + 1
+    taus, values = np.arange(n) * step, kernels.ent_trace_grid(eta, 0.0, step, n)
+    blocks = list(entanglement_blocks(eta, tau_max, step))
     assert all(b.taus.size <= _BLOCK_ROWS for b in blocks)
-    assert np.array_equal(np.concatenate([b.taus for b in blocks]), whole.taus)
-    assert np.array_equal(np.concatenate([b.values for b in blocks]), whole.values)
+    assert np.array_equal(np.concatenate([b.taus for b in blocks]), taus)
+    assert np.array_equal(np.concatenate([b.values for b in blocks]), values)
+    whole = entanglement_trace(eta, tau_max, step)
+    assert np.array_equal(whole.taus, taus)
+    assert np.array_equal(whole.values, values)
 
 
 def test_blocks_refuse_the_whole_grid_before_returning(monkeypatch):
@@ -288,6 +354,10 @@ def test_blocks_refuse_the_whole_grid_before_returning(monkeypatch):
     next(blocks)
     next(blocks)
     assert made == [0, _BLOCK_ROWS]
+    # a whole-grid trace makes the same block calls and no kernel call of its own
+    made.clear()
+    entanglement_trace(0.1, 400.0, 0.01)
+    assert made == [0, _BLOCK_ROWS, 2 * _BLOCK_ROWS]
 
 
 def test_small_eta_stays_unentangled():
