@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ._seed import DEFAULT_SEED
-from .errors import FiberspinError, ValidationFailure
+from .errors import FiberspinError, OutOfRange, ValidationFailure
 from .feasibility import (
     FIBER_PRESET,
     RAMAN_PRESET,
@@ -295,48 +295,60 @@ def _network_params(args) -> NetworkParams:
     )
 
 
+def _report(pairs: Iterable[tuple[str, float]], notes: Iterable[str], args) -> None:
+    """Emit (name, value) report lines, then one `warn` line per note.
+
+    Each value is checked as it is drawn, so a value that is not finite
+    refuses the run with OutOfRange, naming it, before a later pair is
+    computed and before anything is written.
+    """
+    rows = []
+    for name, value in pairs:
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name} is not finite, got {value!r}")
+        rows.append((name, fmt9(value)))
+    rows.extend(("warn", note) for note in notes)
+    _emit(rows, args.format, args.out)
+
+
 def cmd_steady(args) -> None:
     p = _network_params(args)
     s = steady_fields(p)
     d = denominator(p)
-    rows = [
-        ("alpha_re", fmt9(s.alpha.real)),
-        ("alpha_im", fmt9(s.alpha.imag)),
-        ("alpha_mod", fmt9(abs(s.alpha))),
-        ("beta_re", fmt9(s.beta.real)),
-        ("beta_im", fmt9(s.beta.imag)),
-        ("beta_mod", fmt9(abs(s.beta))),
-        ("denominator_re", fmt9(d.real)),
-        ("denominator_im", fmt9(d.imag)),
-        ("denominator_mod", fmt9(abs(d))),
+    pairs = [
+        ("alpha_re", s.alpha.real),
+        ("alpha_im", s.alpha.imag),
+        ("alpha_mod", abs(s.alpha)),
+        ("beta_re", s.beta.real),
+        ("beta_im", s.beta.imag),
+        ("beta_mod", abs(s.beta)),
+        ("denominator_re", d.real),
+        ("denominator_im", d.imag),
+        ("denominator_mod", abs(d)),
     ]
-    for note in validate_regime(p, s):
-        rows.append(("warn", note))
-    _emit(rows, args.format, args.out)
+    _report(pairs, validate_regime(p, s), args)
 
 
 def cmd_coupling(args) -> None:
     p = _network_params(args)
     r = coupling(p)
-    rows = [
-        ("j_oracle", fmt9(r.j_oracle)),
-        ("j_closed", fmt9(r.j_closed)),
-        ("j_single", fmt9(r.j_single)),
-        ("theta1", fmt9(r.theta1)),
-        ("theta2", fmt9(r.theta2)),
-        ("local1", fmt9(r.local1)),
-        ("local2", fmt9(r.local2)),
+    pairs = [
+        ("j_oracle", r.j_oracle),
+        ("j_closed", r.j_closed),
+        ("j_single", r.j_single),
+        ("theta1", r.theta1),
+        ("theta2", r.theta2),
+        ("local1", r.local1),
+        ("local2", r.local2),
     ]
+    notes = []
     if abs(r.theta1 - r.theta2) > _THETA_WARN * max(abs(r.theta1), abs(r.theta2)):
-        rows.append(
-            (
-                "warn",
-                "theta-asymmetry: |theta1 - theta2| = "
-                f"{abs(r.theta1 - r.theta2):.6e} exceeds {_THETA_WARN:.0e} * max moduli;"
-                " the single-theta shortcut j_single is unreliable here",
-            )
+        notes.append(
+            "theta-asymmetry: |theta1 - theta2| = "
+            f"{abs(r.theta1 - r.theta2):.6e} exceeds {_THETA_WARN:.0e} * max moduli;"
+            " the single-theta shortcut j_single is unreliable here"
         )
-    _emit(rows, args.format, args.out)
+    _report(pairs, notes, args)
 
 
 def cmd_evolve(args) -> None:
@@ -377,8 +389,6 @@ def _taustar_etas(args, cfg) -> list[float]:
             raise _CliUsage(f"--etas-log needs finite positive endpoints, got {start!r}:{stop!r}")
         if not 1 <= count <= _ETAS_LOG_MAX:
             raise _CliUsage(f"--etas-log count must be from 1 to {_ETAS_LOG_MAX}, got {count}")
-        if count == 1:
-            return [start]
         import numpy as np
 
         return [float(v) for v in np.geomspace(start, stop, count)]
@@ -423,19 +433,21 @@ def cmd_feasibility(args) -> None:
     gf_power = gamma_f_from_db(power)
     gf_amp = gamma_f_from_db(amplitude)
     ratios = lossy_coupling_report(1.0, gf_power)
-    rows = [
-        ("chi", fmt9(chi_mag)),
-        ("chi_sign", fmt9(chi_sign)),
-        ("nbar", fmt9(raman.nbar)),
-        ("j_at_nbar", fmt9(j_estimate(chi_mag, raman.nbar, raman.gamma))),
-        ("j_nbar_50", fmt9(j_estimate(chi_mag, 50.0, raman.gamma))),
-        ("j_nbar_100", fmt9(j_estimate(chi_mag, 100.0, raman.gamma))),
-        ("gamma_f_power", fmt9(gf_power)),
-        ("gamma_f_amplitude", fmt9(gf_amp)),
-        ("loss_ratio_single", fmt9(ratios.single)),
-        ("loss_ratio_squared", fmt9(ratios.squared)),
-    ]
-    _emit(rows, args.format, args.out)
+
+    # drawn one by one, so a chi that is not finite is refused before j_estimate sees it
+    def pairs():
+        yield "chi", chi_mag
+        yield "chi_sign", chi_sign
+        yield "nbar", raman.nbar
+        yield "j_at_nbar", j_estimate(chi_mag, raman.nbar, raman.gamma)
+        yield "j_nbar_50", j_estimate(chi_mag, 50.0, raman.gamma)
+        yield "j_nbar_100", j_estimate(chi_mag, 100.0, raman.gamma)
+        yield "gamma_f_power", gf_power
+        yield "gamma_f_amplitude", gf_amp
+        yield "loss_ratio_single", ratios.single
+        yield "loss_ratio_squared", ratios.squared
+
+    _report(pairs(), (), args)
 
 
 def cmd_validate(args) -> None:

@@ -53,8 +53,8 @@ _NORM_TOL = 1e-10
 _DM_TOL = 1e-10
 
 #: most points one trace grid may have; a larger request fails with BadGrid
-#: before any point is computed. entanglement_trace holds two 256 MiB arrays
-#: at the cap besides one block, 542 MiB peak RSS, so for it the cap
+#: before any point is computed. entanglement_trace holds one 256 MiB array
+#: at the cap besides one block, 285 MiB peak RSS, so for it the cap
 #: bounds memory; entanglement_blocks and `fiberspin evolve` hold one block,
 #: so for them it bounds output size and run time: 2**25 rows are 780 MB of CSV
 MAX_GRID_POINTS = 2**25
@@ -180,36 +180,32 @@ def eof_from_concurrence(c: float) -> float:
 
 @dataclass(frozen=True)
 class EntanglementTrace:
-    """Uniformly sampled E(tau) curve for one eta."""
+    """E(tau) sampled at the grid times tau_k = k * step, k = start, start + 1, ..."""
 
     eta: float
     step: float
-    taus: np.ndarray
     values: np.ndarray
+    start: int = 0
 
     def __post_init__(self):
-        taus, values, step = self.taus, self.values, self.step
-        if not (isinstance(taus, np.ndarray) and isinstance(values, np.ndarray)) or (
-            taus.shape != values.shape or taus.ndim != 1 or taus.size < 1
-        ):
-            raise BadGrid("taus and values must be equal-length 1-d arrays")
+        values, step, start = self.values, self.step, self.start
+        if not isinstance(values, np.ndarray) or values.ndim != 1 or values.size < 1:
+            raise BadGrid("values must be a 1-d array of at least one point")
         if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0.0):
             raise BadGrid(f"step must be finite and > 0, got {step!r}")
-        # each check runs on _BLOCK_ROWS-sized slices, so no temporary spans
-        # the grid; the diff slices overlap by one tau to take every step
-        if taus.size > 1:
-            # a tau k*step rounds by up to half an ulp of the largest tau, so
-            # the step between two rounded taus may be off by one such ulp:
-            # 5.8e-11 at tau = 3.4e5, beyond 1e-9 * step for step = 0.01
-            slack = 1e-9 * step + float(np.spacing(max(abs(float(taus.min())), abs(float(taus.max())))))
-            for lo in range(0, taus.size - 1, _BLOCK_ROWS):
-                d = np.diff(taus[lo : lo + _BLOCK_ROWS + 1])
-                if not (np.all(d > 0.0) and float(np.max(np.abs(d - step))) <= slack):
-                    raise BadGrid("taus must increase uniformly by step")
+        if not (isinstance(start, (int, np.integer)) and start >= 0):
+            raise BadGrid(f"start must be an integer >= 0, got {start!r}")
+        # the check runs on _BLOCK_ROWS-sized slices, so no temporary spans the grid
         for lo in range(0, values.size, _BLOCK_ROWS):
             v = values[lo : lo + _BLOCK_ROWS]
             if not np.all((v >= 0.0) & (v <= 1.0 + 1e-9)):
                 raise ValueError("entanglement values escaped [0, 1]")
+
+    @property
+    def taus(self) -> np.ndarray:
+        """The grid times of values, (start + k) * step, made afresh on each read."""
+        # integer-valued floats, so these are the bits of np.arange(n) * step at the same k
+        return np.arange(self.start, self.start + self.values.size, dtype=np.float64) * self.step
 
 
 @dataclass(frozen=True)
@@ -245,25 +241,25 @@ def entanglement_trace(eta: float, tau_max: float, step: float) -> EntanglementT
     step must satisfy 0 < step <= 0.1 (coarser grids alias the beat
     structure) and tau_max >= step. The grid may have at most
     MAX_GRID_POINTS (2**25) points; a larger one raises BadGrid before
-    anything is allocated. E(0) = 0 since |gg> is a product state. The two
-    result arrays are made once and filled from entanglement_blocks, which
-    runs every guard and check, so besides them memory holds one block.
+    anything is allocated. E(0) = 0 since |gg> is a product state. The one
+    result array is made once and filled from entanglement_blocks, which
+    runs every guard and check, so besides it memory holds one block; the
+    trace's taus are made only when read.
     """
     blocks = entanglement_blocks(eta, tau_max, step)
-    n = _grid_points(tau_max, step)
-    taus, values = np.empty(n), np.empty(n)
-    for lo, b in zip(range(0, n, _BLOCK_ROWS), blocks):
-        taus[lo : lo + b.taus.size] = b.taus
-        values[lo : lo + b.values.size] = b.values
-    return EntanglementTrace(eta=eta, step=step, taus=taus, values=values)
+    values = np.empty(_grid_points(tau_max, step))
+    for b in blocks:
+        values[b.start : b.start + b.values.size] = b.values
+    return EntanglementTrace(eta=eta, step=step, values=values)
 
 
 def entanglement_blocks(eta: float, tau_max: float, step: float) -> Iterator[EntanglementTrace]:
     """The entanglement_trace grid as consecutive traces of at most _BLOCK_ROWS points.
 
-    The blocks' taus and values are np.arange(n) * step and one
-    kernels.ent_trace_grid call on the whole n-point grid, bit for bit,
-    and memory is one block whatever the grid size. Everything that can
+    A block starting at grid index lo has start=lo, so its taus are those
+    of np.arange(n) * step from lo on, and its values those of one
+    kernels.ent_trace_grid call on the whole n-point grid, bit for bit;
+    memory is one block whatever the grid size. Everything that can
     refuse the grid runs before this returns: the grid guards,
     kernels.check_grid on the whole grid (eta, and the phase at its last
     point, which a first block alone may not reach), and the first block,
@@ -274,11 +270,8 @@ def entanglement_blocks(eta: float, tau_max: float, step: float) -> Iterator[Ent
     kernels.check_grid(eta, 0.0, step, n)
 
     def block(lo: int) -> EntanglementTrace:
-        hi = min(lo + _BLOCK_ROWS, n)
-        values = kernels.ent_trace_grid(eta, 0.0, step, hi - lo, start=lo)
-        # integer-valued floats, so these are the bits of np.arange(n) * step
-        taus = np.arange(lo, hi, dtype=np.float64) * step
-        return EntanglementTrace(eta=eta, step=step, taus=taus, values=values)
+        values = kernels.ent_trace_grid(eta, 0.0, step, min(_BLOCK_ROWS, n - lo), start=lo)
+        return EntanglementTrace(eta=eta, step=step, values=values, start=lo)
 
     return itertools.chain([block(0)], map(block, range(_BLOCK_ROWS, n, _BLOCK_ROWS)))
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NegativeLoss, NonpositiveGamma, ZeroDetuning
+from .errors import NegativeLoss, NonpositiveGamma, OutOfRange, ZeroDetuning
 
 TWOPI = 2.0 * math.pi
 
@@ -115,6 +115,8 @@ def gamma_f_from_db(spec: FiberLossSpec) -> float:
     transmission for the same dB figure.
     """
     base = spec.db_per_km * spec.length_km * math.log(10.0) / 10.0
+    if math.isinf(base):
+        raise OutOfRange(f"loss exponent of {spec.db_per_km!r} dB/km over {spec.length_km!r} km overflows")
     if spec.convention is LossConvention.POWER:
         return base
     return 0.5 * base
@@ -122,7 +124,9 @@ def gamma_f_from_db(spec: FiberLossSpec) -> float:
 
 def lossy_coupling_report(j: float, gamma_f: float) -> LossyCoupling:
     """J under both attenuation conventions: one factor and two factors of e^{-gamma_f}."""
-    if not math.isfinite(gamma_f) or gamma_f < 0.0:
+    if not math.isfinite(gamma_f):
+        raise OutOfRange(f"loss exponent must be finite, got {gamma_f!r}")
+    if gamma_f < 0.0:
         raise NegativeLoss(f"loss exponent must be >= 0, got {gamma_f!r}")
     if not math.isfinite(j):
         raise ValueError("non-finite coupling")

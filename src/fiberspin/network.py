@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import NegativeLoss, ResonantRecycling
+from .errors import NegativeLoss, OutOfRange, ResonantRecycling
 from .numerics import _mul, _parts_of, _solve2, _split, _sub, solve2
 
 TWOPI = 2.0 * math.pi
@@ -358,7 +358,9 @@ def apply_fiber_loss(p: NetworkParams, gamma_f: float) -> NetworkParams:
     Every fiber factor e^{i*phi} downstream becomes e^{i*phi - gamma_f},
     including inside the steady-state denominator.
     """
-    if not math.isfinite(gamma_f) or gamma_f < 0.0:
+    if not math.isfinite(gamma_f):
+        raise OutOfRange(f"fiber loss exponent must be finite, got {gamma_f!r}")
+    if gamma_f < 0.0:
         raise NegativeLoss(f"fiber loss exponent must be >= 0, got {gamma_f!r}")
     return replace(p, gamma_f=gamma_f)
 
@@ -369,7 +371,9 @@ def coupling_largedelta_lossy(j_lossless: float, gamma_f: float) -> float:
     One factor of e^{-gamma_f} per fiber direction; valid when the
     detuning dominates the cavity decay (delta >> gamma).
     """
-    if not math.isfinite(gamma_f) or gamma_f < 0.0:
+    if not math.isfinite(gamma_f):
+        raise OutOfRange(f"fiber loss exponent must be finite, got {gamma_f!r}")
+    if gamma_f < 0.0:
         raise NegativeLoss(f"fiber loss exponent must be >= 0, got {gamma_f!r}")
     return j_lossless * math.exp(-2.0 * gamma_f)
 

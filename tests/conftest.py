@@ -13,7 +13,7 @@ from fiberspin import NetworkParams
 def cli():
     """Run the installed CLI in a subprocess, returning raw bytes.
 
-    The subprocess turns RuntimeWarning into an error, as pyproject.toml's
+    The subprocess turns every warning into an error, as pyproject.toml's
     filterwarnings does in process, so a warning leaked to stderr fails.
     """
 
@@ -22,7 +22,7 @@ def cli():
         if env_extra:
             env.update(env_extra)
         return subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fiberspin", *args],
+            [sys.executable, "-W", "error", "-m", "fiberspin", *args],
             capture_output=True,
             env=env,
         )

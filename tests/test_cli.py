@@ -529,6 +529,14 @@ def test_taustar_log_grid(cli):
     assert etas == pytest.approx(list(np.geomspace(0.1, 0.4, 3)), rel=1e-8)
 
 
+def test_taustar_log_grid_of_one_eta_is_its_start(cli):
+    r = cli("taustar", "--etas-log", "0.3:0.9:1", "--window", "100")
+    assert r.returncode == 0
+    out = lines(r.stdout)
+    assert len(out) == 2
+    assert out[1].split(",")[0] == "0.300000000"
+
+
 def test_taustar_rejects_bad_eta_lists(cli):
     empty = cli("taustar", "--etas", "", "--window", "100")
     assert empty.returncode == 1
@@ -611,6 +619,33 @@ def test_feasibility_refuses_a_non_finite_chi(chi, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: usage: chi must be finite, got {float(chi)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # the library returns these without complaint; they used to reach fmt9
+        (("coupling", "--drive-re", "1e300"), "error: out-of-range: j_oracle is not finite, got -inf\n"),
+        (
+            ("steady", "--drive-re", "1.7e308", "--drive-im", "1.7e308"),
+            "error: out-of-range: alpha_re is not finite, got inf\n",
+        ),
+        (("feasibility", "--g", "1e200", "--omega", "1e200"), "error: out-of-range: chi is not finite, got inf\n"),
+        (
+            ("feasibility", "--db-per-km", "1e308", "--length-km", "10"),
+            "error: out-of-range: loss exponent of 1e+308 dB/km over 10.0 km overflows\n",
+        ),
+    ],
+    ids=["coupling", "steady", "feasibility-chi", "feasibility-loss"],
+)
+def test_a_non_finite_result_is_refused_before_printing(argv, err, capsys, tmp_path):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+    out = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 def test_config_and_flag_precedence(cli, tmp_path):

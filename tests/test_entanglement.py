@@ -239,64 +239,47 @@ def test_trace_grid_cap_refuses_before_allocating(monkeypatch):
 
 
 def test_trace_container_rejects_ragged_grid():
-    taus = np.array([0.0, 0.01, 0.03])
-    with pytest.raises(BadGrid):
-        EntanglementTrace(eta=0.1, step=0.01, taus=taus, values=np.zeros(3))
-    # the checks run on _BLOCK_ROWS-sized slices; a bad step or value at
-    # either side of a slice edge, or at the grid's last point, still fails
-    grid = np.arange(2 * _BLOCK_ROWS + 1) * 0.01
+    # the check runs on _BLOCK_ROWS-sized slices; a bad value at either side
+    # of a slice edge, or at the grid's last point, still fails
     for k in (_BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS):
-        bent, values = grid.copy(), np.zeros(grid.size)
-        bent[k:] += 0.005
+        values = np.zeros(2 * _BLOCK_ROWS + 1)
         values[k] = 1.5
-        with pytest.raises(BadGrid):
-            EntanglementTrace(eta=0.1, step=0.01, taus=bent, values=np.zeros(grid.size))
         with pytest.raises(ValueError, match="escaped"):
-            EntanglementTrace(eta=0.1, step=0.01, taus=grid, values=values)
+            EntanglementTrace(eta=0.1, step=0.01, values=values)
 
 
 def test_trace_container_refuses_lists_with_bad_grid():
     with pytest.raises(BadGrid):
-        EntanglementTrace(eta=0.1, step=0.01, taus=[0.0, 0.01], values=[0.0, 0.0])
-    with pytest.raises(BadGrid):
-        EntanglementTrace(eta=0.1, step=0.01, taus=np.array([0.0, 0.01]), values=[0.0, 0.0])
+        EntanglementTrace(eta=0.1, step=0.01, values=[0.0, 0.0])
 
 
 @pytest.mark.parametrize("step", [math.nan, 0.0, -0.01, math.inf, -math.inf])
 def test_trace_container_refuses_a_bad_step_at_any_length(step):
-    # a one-point trace has no diff to carry the step into the grid check
-    for taus in (np.zeros(1), np.array([0.0, 0.01])):
+    for size in (1, 2):
         with pytest.raises(BadGrid):
-            EntanglementTrace(eta=0.1, step=step, taus=taus, values=np.zeros(taus.size))
+            EntanglementTrace(eta=0.1, step=step, values=np.zeros(size))
 
 
-def test_trace_container_accepts_rounded_taus_at_the_grid_cap():
-    # the last 16,384 taus of the 2**25-point grid (tau_max = 335544.31):
-    # each k*step rounds by up to half an ulp of 3.4e5, about 2.9e-11, so
-    # neighbouring taus may differ from step by 4.9e-11, beyond 1e-9 * step
-    step = 0.01
-    taus = np.arange(MAX_GRID_POINTS - 16_384, MAX_GRID_POINTS, dtype=np.float64) * step
-    EntanglementTrace(eta=0.1, step=step, taus=taus, values=np.zeros(taus.size))
-    # a tau off by more than that rounding still fails
-    bent = taus.copy()
-    bent[100] += 1e-9 * step + 3.0 * float(np.spacing(taus[-1]))
+@pytest.mark.parametrize("start", [-1, 1.5, None])
+def test_trace_container_refuses_a_bad_start(start):
     with pytest.raises(BadGrid):
-        EntanglementTrace(eta=0.1, step=step, taus=bent, values=np.zeros(taus.size))
+        EntanglementTrace(eta=0.1, step=0.01, values=np.zeros(2), start=start)
 
 
-#: the two float64 result arrays of a 2**22-point trace, 64 MiB
-_TRACE_ARRAYS = 2 * 8 * 2**22
+#: the float64 result array of a 2**22-point trace, 32 MiB
+_TRACE_ARRAY = 8 * 2**22
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads a child's peak RSS from /proc/self/status")
-def test_trace_memory_is_its_two_arrays():
+def test_trace_memory_is_its_one_array():
     # the child's peak RSS after a one-block trace is its floor: the
     # interpreter, numpy and one block's work. A 2**22-point trace may add
-    # its two result arrays and 10% more. Measured: 1.0002 times the arrays;
-    # a whole-grid kernel call with whole-grid checks read 2.5 times. The
-    # peak is VmHWM, not ru_maxrss: Linux carries a parent's ru_maxrss into
-    # its child across exec, so a test process larger than the child would
-    # hide the child's own peak
+    # its one result array and 10% more. Measured: 1.006 times the array;
+    # a trace that also held its taus read 2.0 times, and a whole-grid
+    # kernel call with whole-grid checks 5.0 times. The peak is VmHWM, not
+    # ru_maxrss: Linux carries a parent's ru_maxrss into its child across
+    # exec, so a test process larger than the child would hide the child's
+    # own peak
     probe = (
         "import re; from fiberspin.entanglement import _BLOCK_ROWS, entanglement_trace\n"
         "def peak(): return re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1]\n"
@@ -307,7 +290,7 @@ def test_trace_memory_is_its_two_arrays():
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
     floor, peak = (1024 * int(kib) for kib in r.stdout.split())
-    assert peak - floor <= 1.1 * _TRACE_ARRAYS, (floor, peak)
+    assert peak - floor <= 1.1 * _TRACE_ARRAY, (floor, peak)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from fiberspin import (
     NegativeLoss,
     NetworkParams,
     NonpositiveGamma,
+    OutOfRange,
     RamanParams,
     ZeroDetuning,
     chi_from_raman,
@@ -82,6 +83,19 @@ def test_lossy_coupling_report():
     assert abs(scaled.single - 50.0 * rep.single) <= 1e-12
     with pytest.raises(NegativeLoss):
         lossy_coupling_report(1.0, -0.1)
+
+
+def test_gamma_f_from_db_refuses_an_overflowing_exponent():
+    for convention in LossConvention:
+        with pytest.raises(OutOfRange, match="overflows"):
+            gamma_f_from_db(FiberLossSpec(1e308, 10.0, convention))
+
+
+@pytest.mark.parametrize("gamma_f", [math.inf, math.nan])
+def test_lossy_coupling_report_refuses_a_non_finite_exponent(gamma_f):
+    # a negative exponent stays NegativeLoss; one that is not a number is out of range
+    with pytest.raises(OutOfRange, match="finite"):
+        lossy_coupling_report(1.0, gamma_f)
 
 
 def _driven_point(delta, nbar):

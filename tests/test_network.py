@@ -14,6 +14,7 @@ from fiberspin import network
 from fiberspin import (
     NegativeLoss,
     NetworkParams,
+    OutOfRange,
     ResonantRecycling,
     apply_fiber_loss,
     coupling,
@@ -417,6 +418,12 @@ def test_largedelta_lossy_reference_values():
         coupling_largedelta_lossy(1.0, -0.1)
 
 
+@pytest.mark.parametrize("gamma_f", [math.inf, math.nan])
+def test_largedelta_lossy_refuses_a_non_finite_exponent(gamma_f):
+    with pytest.raises(OutOfRange, match="finite"):
+        coupling_largedelta_lossy(1.0, gamma_f)
+
+
 def test_denominator_gamma_zero():
     p = NetworkParams(gamma=0.0, delta=2.0, chi=0.1, drive=1.0, phi12=0.0, phi21=0.0)
     assert cmath.isclose(denominator(p), -4.0 + 0.0j, abs_tol=1e-12)
@@ -438,6 +445,12 @@ def test_apply_fiber_loss_returns_new_params():
     assert q.gamma == p.gamma and q.drive == p.drive
     with pytest.raises(NegativeLoss):
         apply_fiber_loss(p, -0.2)
+
+
+@pytest.mark.parametrize("gamma_f", [math.inf, math.nan])
+def test_apply_fiber_loss_refuses_a_non_finite_exponent(gamma_f):
+    with pytest.raises(OutOfRange, match="finite"):
+        apply_fiber_loss(NetworkParams(**SYM), gamma_f)
 
 
 def test_params_validation():
