@@ -8,7 +8,8 @@ with # comments, keyed by its flag names. Parameter resolution order is
 flags > preset > config file > built-in defaults. A flag's value may
 start with "-": main joins it to its flag as --flag=value for argparse.
 Numeric output uses 9 significant digits, locale-independent, and is
-byte-identical across repeated invocations, threaded sweeps included.
+byte-identical across repeated invocations. taustar runs its etas one
+after another on one thread.
 `evolve` computes, checks, formats and writes its trace one block of
 16,384 rows at a time, so no whole-grid array or text is ever held and
 its memory is the same at any grid size; its bytes are those of fmt9
@@ -29,8 +30,7 @@ network and numerics, none of which imports numpy. So steady, coupling
 and feasibility, --help and a usage error never import numpy. What
 needs arrays is imported where it is first used: entanglement, validate
 and numpy by cmd_evolve, cmd_taustar and cmd_validate, and the block
-formatter fiberspin._blocks by cmd_evolve. taustar imports its thread
-pool only when it runs more than one thread.
+formatter fiberspin._blocks by cmd_evolve.
 
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
 3 self-check failure; each FiberspinError class carries its own as
@@ -237,8 +237,6 @@ _PARAMS = {
         "window": (float, 1e4),
         "step": (float, 1e-2),
         "tolerance": (float, 1e-2),
-        # None is one thread per CPU; below 1 is one thread
-        "threads": (int, None),
     },
     "feasibility": {
         "g": (float, RAMAN_PRESET.g),
@@ -401,18 +399,7 @@ def cmd_taustar(args) -> None:
     cfg = _resolve(args)
     etas = _taustar_etas(args, cfg)
     window, step, tolerance = cfg["window"], cfg["step"], cfg["tolerance"]
-    threads = (os.cpu_count() or 1) if cfg["threads"] is None else max(cfg["threads"], 1)
-
-    def one(eta: float):
-        return tau_star(eta, window=window, step=step, tolerance=tolerance)
-
-    if threads == 1 or len(etas) == 1:
-        results = [one(eta) for eta in etas]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, etas))
+    results = [tau_star(eta, window=window, step=step, tolerance=tolerance) for eta in etas]
     rows = [("eta", "tau_star", "e_max")]
     rows.extend((fmt9(r.eta), fmt9(r.tau_star), fmt9(r.e_max)) for r in results)
     _emit(rows, args.format, args.out, kv=False)

@@ -310,31 +310,35 @@ def tau_star(
     On the entanglement_trace grid of (window, step), e_max is the largest
     E and tau_star the first grid time with E >= e_max - tolerance, both
     bit-identical to reading them off the full kernels.ent_trace_grid
-    array, which is never built. A first pass keeps the largest C^2 of
-    each kernel block (kernels.conc2_block_max). E grows with C^2, so a
-    point reaches an E level only if its C^2 reaches the level's
-    _conc2_floor: e_max is taken over the blocks whose peak can hold it,
-    and the first hit is looked for, in order, in the blocks whose peak
-    can reach the threshold, each through one kernels.ent_trace_grid call
-    on that block alone. Memory is one chunk of kernel blocks plus one
-    float per block.
+    array, which is never built. A first pass bounds the largest C^2 of
+    each kernel block from above by its peak plus the grid's margin
+    (kernels.conc2_block_max); the peaks' last bits may follow the BLAS,
+    the bound holds for every BLAS. E grows with C^2, so a point reaches
+    an E level only if its C^2 reaches the level's _conc2_floor: e_max is
+    taken over the blocks whose bound can hold it, and the first hit is
+    looked for, in order, in the blocks whose bound can reach the
+    threshold, each through one kernels.ent_trace_grid call on that block
+    alone. Every E compared or returned comes from those calls, so the
+    result does not depend on the BLAS. Memory is one chunk of kernel
+    blocks plus one float per block.
     """
     if not isinstance(tolerance, (int, float)) or not math.isfinite(tolerance) or tolerance < 0.0:
         raise OutOfRange(f"tolerance must be >= 0, got {tolerance!r}")
     n = _grid_points(window, step)
-    peaks = kernels.conc2_block_max(eta, 0.0, step, n)
+    peaks, margin = kernels.conc2_block_max(eta, 0.0, step, n)
+    bounds = peaks + margin
 
     def block_e(b: int) -> np.ndarray:
         lo = b * kernels.BLOCK
         return kernels.ent_trace_grid(eta, 0.0, step, min(kernels.BLOCK, n - lo), start=lo)
 
-    # E at the largest C^2 bounds e_max from below, so every point that
-    # reaches e_max lies in a block whose peak reaches that E's floor
+    # any block's largest E bounds e_max from below, so every point that
+    # reaches e_max lies in a block whose bound reaches that E's floor
     e_max = float(block_e(int(np.argmax(peaks))).max())
-    e_max = max(float(block_e(b).max()) for b in np.flatnonzero(peaks >= _conc2_floor(e_max)).tolist())
+    e_max = max(float(block_e(b).max()) for b in np.flatnonzero(bounds >= _conc2_floor(e_max)).tolist())
     threshold = e_max - tolerance
     # the point holding e_max meets the threshold, so some candidate block hits
-    for b in np.flatnonzero(peaks >= _conc2_floor(threshold)).tolist():
+    for b in np.flatnonzero(bounds >= _conc2_floor(threshold)).tolist():
         hits = np.flatnonzero(block_e(b) >= threshold)
         if hits.size:
             break

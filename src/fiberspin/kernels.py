@@ -38,8 +38,15 @@ of those points (tests/test_accuracy.py).
 E follows from C^2 by the binary entropy, as in
 entanglement.eof_from_concurrence. Every operation runs in a fixed order
 on float64 arrays, so for one numpy build and CPU dispatch target the
-results are a pure function of the arguments; numpy's log2, among
+C^2 and E values are a pure function of the arguments; numpy's log2, among
 others, may round differently on another dispatch target.
+
+conc2_block_max, the first pass of tau_star, computes the same C^2 by
+two matrix products per chunk of blocks instead. Its block peaks are
+within a margin, derived in its docstring, of the largest C^2 that
+ent_trace_grid computes in each block. The peaks' last bits may follow
+the BLAS kernel that numpy calls, which OpenBLAS picks by CPU; the
+margin holds for every BLAS.
 """
 
 from __future__ import annotations
@@ -54,8 +61,13 @@ from .spins import eta_constants
 #: points per phase table; block b of a grid starts at k = b*BLOCK
 BLOCK = 1024
 
-#: blocks computed together; 32 * 1024 float64 values are 256 KiB per buffer
+#: blocks computed together; 32 * 1024 float64 values are 256 KiB per buffer.
+#: _Grid.conc2 makes three such buffers per chunk; conc2_block_max makes its
+#: two once per call and reuses them for every chunk
 _ROWS = 32
+
+#: conc2_block_max's margin in units of 2**-53 * (Sr**2 + Si**2); its docstring derives it
+_MARGIN_ULPS = 25.0
 
 #: stands in for y = 0 in y*log2(y): y is a multiple of 2**-53 or zero, so
 #: raising only the zeros to it changes no other value and keeps 0*log2(.) = 0
@@ -234,14 +246,68 @@ def ent_trace_grid(eta: float, tau0: float, step: float, n: int, start: int = 0)
     return out
 
 
-def conc2_block_max(eta: float, tau0: float, step: float, n: int) -> np.ndarray:
-    """Largest C^2 in each BLOCK-point block of the ent_trace_grid grid.
+def conc2_block_max(eta: float, tau0: float, step: float, n: int) -> tuple[np.ndarray, float]:
+    """(peaks, margin): the largest C^2 of each block of the ent_trace_grid grid, to within margin.
 
-    Returns a float64 array of ceil(n / BLOCK) values; the C^2 values are
-    those ent_trace_grid turns into E, and memory stays O(BLOCK * _ROWS).
+    peaks holds ceil(n / BLOCK) values and margin is one float for the
+    grid: each peak is within margin of the largest C^2 that
+    ent_trace_grid computes in its block, so peak + margin bounds that C^2
+    from above. Memory stays O(BLOCK * _ROWS).
+
+    A chunk of blocks costs two matrix products, not the elementwise
+    passes of _Grid.conc2: Re 2z is the blocks' coefficients
+    starts[:4] times the (4, width) stack of the phase tables, plus a,
+    and Im 2z is starts[4:] times the same stack. Both routes thus sum the
+    same five terms, a and four coefficient-times-table products, in
+    different orders, the products here in whatever order and with
+    whatever fused multiply-adds the BLAS kernel picks, so the peaks' last
+    bits may follow the BLAS. The margin holds for any of them.
+
+    With u = 2**-53 and gamma_k = k*u/(1 - k*u), a k-term dot product
+    evaluated in any order, with or without FMA, is within
+    gamma_k * sum|x_i*y_i| of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1). With t_k the largest
+    magnitude in table k, a cos or sin and so at most 1, at a point of
+    block b each route's Re 2z is within gamma_5 * Sr of the exact value
+    and at most (1 + gamma_5) * Sr in magnitude, with
+    Sr = |a| + sum_k |starts[k, b]| * t_k over k = 0..3; Im 2z likewise
+    with Si = sum_k |starts[4 + k, b]| * t_k. The two routes' Re
+    thus differ by at most 2 * gamma_5 * Sr, and their squares by at most
+    4 * gamma_5 * (1 + gamma_5) * Sr**2. C^2 = re**2 + im**2, two rounded
+    squares and one rounded sum, is within gamma_2 * (re**2 + im**2) of
+    the exact sum of squares in each route. So the routes' C^2 at a point,
+    and hence the largest values of a block, differ by at most
+
+        (4 * gamma_5 * (1 + gamma_5) + 2 * gamma_2 * (1 + gamma_5)**2) * (Sr**2 + Si**2),
+
+    below 24.01 * u * (Sr**2 + Si**2). margin is _MARGIN_ULPS = 25 times
+    u * max_b (Sr**2 + Si**2); the rest of the 25 covers the dozen
+    roundings of computing the margin itself, each a relative 2**-53.
     """
     grid = _Grid(eta, tau0, step, int(n), 0)
-    out = np.empty(grid.blocks, dtype=np.float64)
-    for b0, c2 in _chunks(grid):
-        out[b0 : b0 + len(c2)] = c2.max(axis=1)
-    return out
+    coef = grid.starts[:, :, 0]
+    table = np.stack(grid.tables)
+    t = np.abs(table).max(axis=1)[:, None]
+    s_re = abs(grid.a) + (np.abs(coef[:4]) * t).sum(axis=0)
+    s_im = (np.abs(coef[4:]) * t).sum(axis=0)
+    margin = _MARGIN_ULPS * 2.0**-53 * float(np.max(s_re * s_re + s_im * s_im))
+
+    lhs_re, lhs_im = np.ascontiguousarray(coef[:4].T), np.ascontiguousarray(coef[4:].T)
+    rows = min(_ROWS, grid.blocks)
+    re, im = np.empty((rows, BLOCK)), np.empty((rows, BLOCK))
+    peaks = np.empty(grid.blocks, dtype=np.float64)
+    full = grid.n // BLOCK
+    spans = [(b0, min(b0 + _ROWS, full)) for b0 in range(0, full, _ROWS)]
+    if full < grid.blocks:
+        spans.append((full, full + 1))
+    for b0, b1 in spans:
+        width = min(BLOCK, grid.n - b0 * BLOCK)
+        r, i = re[: b1 - b0, :width], im[: b1 - b0, :width]
+        np.matmul(lhs_re[b0:b1], table[:, :width], out=r)
+        np.matmul(lhs_im[b0:b1], table[:, :width], out=i)
+        r += grid.a
+        np.multiply(r, r, out=r)
+        np.multiply(i, i, out=i)
+        r += i
+        np.max(r, axis=1, out=peaks[b0:b1])
+    return peaks, margin

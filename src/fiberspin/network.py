@@ -33,8 +33,12 @@ theta_variants and fluctuation_coefficients take either. They compute on
 the parts core of numerics: every complex product, quotient and
 exponential is spelled out over (re, im) parts in CPython's own order,
 so a set gets the same bits alone as at any position in a stack, and
-the same bits as plain Python complex arithmetic. A stack raises the
-error its first failing set would raise alone. A stack costs a fixed
+the same bits as plain Python complex arithmetic. Float arithmetic
+overflows to inf or NaN without raising, so steady_fields and coupling
+check what they return and raise OutOfRange naming the first part or
+field that is not finite. A stack raises the error its first failing set
+would raise alone: a stack that fails is computed again set by set, in
+order, until one raises. A stack costs a fixed
 number of numpy calls whatever its length, so a caller with many sets
 should stack them rather than loop over them. One set makes no numpy
 call; a stack's numpy work, as numerics', is in fiberspin._arrays, which
@@ -44,9 +48,9 @@ only a stack imports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from .errors import NegativeLoss, OutOfRange, ResonantRecycling
+from .errors import FiberspinError, NegativeLoss, OutOfRange, ResonantRecycling
 from .numerics import _mul, _parts_of, _solve2, _split, _sub, solve2
 
 TWOPI = 2.0 * math.pi
@@ -171,6 +175,49 @@ def denominator(p: NetworkParams) -> complex:
     return ops.pack(*_sub(_mul(mu, mu), _mul((p.gamma * p.gamma, 0.0), loop)))
 
 
+def _one_set(p: NetworkParams, i: int) -> NetworkParams:
+    """Set i of the stack p, its stored values unchanged.
+
+    The constructor is bypassed: its phase reduction maps a stored phase
+    that rounded up to 2*pi to 0, so it would not give back set i's bits.
+    """
+    one = object.__new__(NetworkParams)
+    for f in fields(NetworkParams):
+        object.__setattr__(one, f.name, getattr(p, f.name)[i].item())
+    return one
+
+
+def _per_set(p: NetworkParams, compute):
+    """compute(p); a stack that fails raises what its first failing set raises alone.
+
+    A stack runs with numpy's floating-point warnings off, as one set on
+    floats overflows without a warning; the finiteness checks refuse it.
+    """
+    if isinstance(p.gamma, float):
+        return compute(p)
+    import numpy as np
+
+    try:
+        with np.errstate(all="ignore"):
+            return compute(p)
+    except (FiberspinError, ArithmeticError, ValueError):
+        for i in range(len(p.gamma)):
+            compute(_one_set(p, i))
+        raise
+
+
+def _require_finite(ops, named) -> None:
+    """Raise OutOfRange naming the first value that is not finite, at the first set that has one.
+
+    named holds (name, value) pairs in the order they are checked.
+    """
+    values = [value for _, value in named]
+    bad = ops.first(ops.nonfinite(*values), *values)
+    if bad is not None:
+        name, value = next((name, v) for (name, _), v in zip(named, bad) if not math.isfinite(v))
+        raise OutOfRange(f"{name} is not finite, got {value!r}")
+
+
 def steady_fields(p: NetworkParams) -> SteadyFields:
     """Steady intracavity amplitudes of the driven pair.
 
@@ -179,8 +226,13 @@ def steady_fields(p: NetworkParams) -> SteadyFields:
     far one.
 
     Raises ResonantRecycling when |D| <= 1e-9*(gamma^2+delta^2), the
-    neighborhood of the recycling resonance where the fields diverge.
+    neighborhood of the recycling resonance where the fields diverge, and
+    OutOfRange when a part of alpha or beta leaves the float range.
     """
+    return _per_set(p, _steady_fields)
+
+
+def _steady_fields(p: NetworkParams) -> SteadyFields:
     ops = _parts_of(p.gamma)
     alpha, beta = _steady(p, _split(denominator(p)), _hop21(p))
     return SteadyFields(alpha=ops.pack(*alpha), beta=ops.pack(*beta))
@@ -202,6 +254,9 @@ def _steady(p: NetworkParams, d, hop21):
         )
     alpha = ops.quot(_mul(_split(p.drive), mu), d)
     beta = ops.quot(_mul(_mul((p.gamma, 0.0), alpha), hop21), mu)
+    _require_finite(
+        ops, (("alpha_re", alpha[0]), ("alpha_im", alpha[1]), ("beta_re", beta[0]), ("beta_im", beta[1]))
+    )
     return alpha, beta
 
 
@@ -308,6 +363,11 @@ def _thetas(p: NetworkParams, alpha, beta, d, hop12, hop21):
     return t1, t2
 
 
+#: the CouplingResult fields in the order coupling checks them, which is
+#: the order `fiberspin coupling` prints them
+_CHECK_ORDER = ("j_oracle", "j_closed", "j_single", "theta1", "theta2", "local1", "local2")
+
+
 def coupling(p: NetworkParams) -> CouplingResult:
     """Effective Ising strength J, from the elimination oracle and from closed forms.
 
@@ -330,7 +390,16 @@ def coupling(p: NetworkParams) -> CouplingResult:
     For a stack of parameter sets every field of the result is an array,
     and the call makes the same number of D, fiber-factor and solve2
     calls as for one set.
+
+    Raises ResonantRecycling as steady_fields does, and OutOfRange when a
+    part of the steady fields or a field of the result leaves the float
+    range, checked in the order j_oracle, j_closed, j_single, theta1,
+    theta2, local1, local2.
     """
+    return _per_set(p, _coupling)
+
+
+def _coupling(p: NetworkParams) -> CouplingResult:
     ops = _parts_of(p.gamma)
     d = _split(denominator(p))
     hop12, hop21 = _hop12(p), _hop21(p)
@@ -341,7 +410,7 @@ def coupling(p: NetworkParams) -> CouplingResult:
     )
     t1, t2 = _thetas(p, alpha, beta, d, hop12, hop21)
     gc2 = p.gamma * p.chi * p.chi
-    return CouplingResult(
+    r = CouplingResult(
         j_oracle=j_oracle,
         theta1=t1,
         theta2=t2,
@@ -350,6 +419,8 @@ def coupling(p: NetworkParams) -> CouplingResult:
         local1=p.chi * ops.square(ops.mod(alpha)),
         local2=p.chi * ops.square(ops.mod(beta)),
     )
+    _require_finite(ops, [(name, getattr(r, name)) for name in _CHECK_ORDER])
+    return r
 
 
 def apply_fiber_loss(p: NetworkParams, gamma_f: float) -> NetworkParams:

@@ -373,7 +373,7 @@ def test_criterion_11_cli_determinism(capsys):
     runs = (
         ("steady", "--preset", "example-asym"),
         ("evolve", "--tau-max", "20", "--step", "0.01"),
-        ("taustar", "--etas", "0.4,0.2,0.1,0.05", "--window", "1000", "--threads", "4"),
+        ("taustar", "--etas", "0.4,0.2,0.1,0.05", "--window", "1000"),
     )
     identical = True
     for args in runs:

@@ -402,6 +402,36 @@ def test_evolve_page_faults_do_not_grow_with_the_grid(tmp_path):
     assert large - small < _FAULT_GROWTH, (small, large)
 
 
+#: the etas perfbench's taustar-sweep draws at seed 20261019
+_SWEEP_ETAS = (
+    "0.10075984280002613,0.38734766942734494,0.0753979217291889,0.2200913439013282,"
+    "0.15307490239983151,0.711468926685253,0.6742010928459867,0.11058633982495018"
+)
+
+#: most minor page faults a child `taustar` over _SWEEP_ETAS may add from
+#: --window 10 (one kernel block per eta) to --window 10000 (977). Measured
+#: on Linux (glibc, numpy 2.4): about 820 with the block-peak buffers made
+#: once per conc2_block_max call; about 25,000-28,000 when each chunk of
+#: blocks makes its elementwise temporaries afresh, as glibc trims the freed
+#: heap and the next chunk faults it back in
+_TAUSTAR_FAULT_GROWTH = 3000
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads a child's ru_minflt from os.wait4, as Linux fills it")
+def test_taustar_page_faults_do_not_grow_with_the_window():
+    def faults(window: str) -> int:
+        argv = [sys.executable, "-m", "fiberspin", "taustar", "--etas", _SWEEP_ETAS, "--window", window]
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_minflt
+
+    small = faults("10")
+    large = faults("10000")
+    assert large - small < _TAUSTAR_FAULT_GROWTH, (small, large)
+
+
 def test_steady_sym_preset(cli):
     r = cli("steady", "--preset", "example-sym")
     assert r.returncode == 0
@@ -460,15 +490,13 @@ def test_evolve_rejects_bad_grid(cli):
     assert huge.stdout == b""
 
 
-def test_taustar_table_and_threads(cli):
+def test_taustar_table(cli):
     args = (
         "taustar",
         "--etas",
         "0.4,0.2",
         "--window",
         "200",
-        "--threads",
-        "4",
     )
     first = cli(*args)
     second = cli(*args)
@@ -484,13 +512,16 @@ def test_taustar_table_and_threads(cli):
     assert tau_fast < tau_slow
 
 
-def test_taustar_threads_do_not_change_output(cli):
-    args = ("taustar", "--etas", "0.4,0.2,0.1,0.05,0.3", "--window", "2000")
-    one = cli(*args, "--threads", "1")
-    two = cli(*args, "--threads", "2")
-    assert one.returncode == 0 and two.returncode == 0
-    assert one.stdout == two.stdout
-    assert len(lines(one.stdout)) == 6
+def test_taustar_has_no_threads_flag_or_key(cli, tmp_path):
+    # taustar runs on one thread; the --threads flag and config key are gone
+    flag = cli("taustar", "--etas", "0.4", "--window", "10", "--threads", "2")
+    assert (flag.returncode, flag.stdout) == (1, b"")
+    assert flag.stderr.startswith(b"error: usage:") and b"--threads" in flag.stderr
+    cfg = tmp_path / "taustar.cfg"
+    cfg.write_text("threads = 2\n", encoding="utf-8")
+    key = cli("taustar", "--etas", "0.4", "--window", "10", "--config", str(cfg))
+    assert (key.returncode, key.stdout) == (1, b"")
+    assert key.stderr == b"error: usage: unknown config key 'threads' for this subcommand\n"
 
 
 @pytest.mark.parametrize("eta", ["1e160", "1e200"])
@@ -891,6 +922,55 @@ def test_golden_transcripts_do_not_follow_numpy_cpu_dispatch(cli):
     assert check.stdout.split() == [b"False"] * len(targets) + [b"True"], check.stderr
     for argv, expected in GOLDEN_TRANSCRIPTS.items():
         if argv[0] in ("evolve", "taustar"):
+            r = cli(*argv, env_extra=env)
+            assert (r.returncode, r.stdout, r.stderr) == (0, expected.encode("ascii"), b""), argv
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy calls an OpenBLAS built with DYNAMIC_ARCH, whose kernel OPENBLAS_CORETYPE picks."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts" or without BLAS facts
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+#: OpenBLAS core types whose kernels give conc2_block_max's peaks other
+#: last bits than each other and than the default kernel of an AVX-512 CPU,
+#: with the CPU features each kernel needs
+_CORETYPES = {"Prescott": ("SSE3",), "Haswell": ("AVX2", "FMA3")}
+
+#: largest |peak - elementwise block maximum| / margin over the golden
+#: taustar grids and two 10^6-point grids, printed by a child process
+_PEAK_PROBE = """
+import numpy as np
+from fiberspin import kernels
+worst = 0.0
+for eta, n in ((0.4, 20_001), (0.2, 20_001), (0.1, 1_000_001), (0.7, 1_000_001)):
+    peaks, margin = kernels.conc2_block_max(eta, 0.0, 0.01, n)
+    grid = kernels._Grid(eta, 0.0, 0.01, n, 0)
+    want = np.concatenate([c2.max(axis=1) for _, c2 in kernels._chunks(grid)])
+    worst = max(worst, float(np.max(np.abs(peaks - want))) / margin)
+print(worst)
+"""
+
+
+@pytest.mark.parametrize("coretype", sorted(_CORETYPES))
+def test_taustar_output_does_not_follow_the_blas_kernel(cli, coretype):
+    # conc2_block_max's peaks come from matrix products whose last bits
+    # follow the BLAS kernel; tau_star only bounds with them, so the peaks
+    # must stay within their margin and the printed bytes must not change
+    if not _openblas_dynamic_arch():
+        pytest.skip("numpy's BLAS is not an OpenBLAS with DYNAMIC_ARCH, so OPENBLAS_CORETYPE selects nothing")
+    missing = [name for name in _CORETYPES[coretype] if not _umath.__cpu_features__.get(name)]
+    if missing:
+        pytest.skip(f"this CPU lacks {missing}, which OpenBLAS's {coretype} kernel needs")
+    env = {"OPENBLAS_CORETYPE": coretype}
+    probe = subprocess.run([sys.executable, "-c", _PEAK_PROBE], capture_output=True, env={**os.environ, **env})
+    assert probe.returncode == 0, probe.stderr
+    assert float(probe.stdout) <= 1.0, probe.stdout
+    for argv, expected in GOLDEN_TRANSCRIPTS.items():
+        if argv[0] == "taustar":
             r = cli(*argv, env_extra=env)
             assert (r.returncode, r.stdout, r.stderr) == (0, expected.encode("ascii"), b""), argv
 

@@ -400,13 +400,29 @@ def test_tau_star_uses_block_peaks_only_as_upper_bounds(monkeypatch):
     real = kernels.conc2_block_max
 
     def raised(*args):
-        peaks = real(*args)
+        peaks, margin = real(*args)
         peaks[0] = 1.5
-        return peaks
+        return peaks, margin
 
     monkeypatch.setattr(kernels, "conc2_block_max", raised)
     assert tau_star(0.3, window=100.0, step=0.01, tolerance=1e-3) == want
     assert want.tau_star > 10.24  # past block 0, so block 0 is confirmed and passed over
+
+
+@pytest.mark.parametrize("eta, tolerance", [(0.3, 1e-3), (0.1, 1e-2), (0.05, 0.0)])
+def test_tau_star_adds_the_margin_to_every_peak(monkeypatch, eta, tolerance):
+    # conc2_block_max promises only that each peak is within margin of the
+    # block's largest C^2; peaks that all sit a whole margin low keep that
+    # promise, and tau_star must still find what it finds on the exact ones
+    want = tau_star(eta, window=300.0, step=0.01, tolerance=tolerance)
+    real = kernels.conc2_block_max
+
+    def lowered(*args):
+        peaks, _ = real(*args)
+        return peaks - 1e-3, 1e-3
+
+    monkeypatch.setattr(kernels, "conc2_block_max", lowered)
+    assert tau_star(eta, window=300.0, step=0.01, tolerance=tolerance) == want
 
 
 def test_tau_star_memory_stays_per_chunk():

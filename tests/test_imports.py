@@ -176,10 +176,11 @@ def test_usage_errors_and_help_of_array_subcommands_never_import_numpy(command):
         assert "numpy" not in modules and "concurrent.futures" not in modules, args
 
 
-def test_only_a_threaded_taustar_imports_the_thread_pool():
+def test_no_taustar_run_imports_the_thread_pool():
     evolve = _imports("-m", "fiberspin", "evolve", "--tau-max", "1", "--step", "0.1")
     one_eta = _imports("-m", "fiberspin", "taustar", "--etas", "0.4", "--window", "10")
+    many_etas = _imports("-m", "fiberspin", "taustar", "--etas", "0.4,0.2,0.1", "--window", "10")
+    sweep = _imports("-m", "fiberspin", "taustar", "--etas-log", "0.05:0.8:5", "--window", "10")
     assert "numpy" in evolve and "numpy" in one_eta
-    assert "concurrent.futures" not in evolve and "concurrent.futures" not in one_eta
-    threaded = ("taustar", "--etas", "0.4,0.2", "--window", "10", "--threads", "2")
-    assert "concurrent.futures" in _imports("-m", "fiberspin", *threaded)
+    for modules in (evolve, one_eta, many_etas, sweep):
+        assert "concurrent.futures" not in modules

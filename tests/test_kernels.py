@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fiberspin import backend, concurrence_pure, eof_from_concurrence, evolve_analytic
+from fiberspin import backend, concurrence_pure, eof_from_concurrence, evolve_analytic, kernels
 from fiberspin.errors import BadGrid, DegenerateEta
 from fiberspin.kernels import BLOCK, check_grid, conc2_block_max, ent_trace_grid, trace_constants
 
@@ -139,7 +141,7 @@ def test_block_calls_match_the_full_grid_bit_for_bit():
             assert np.array_equal(part, full[lo : lo + BLOCK])
         # two blocks at once, and the block maxima of C^2 that tau_star scans
         assert np.array_equal(ent_trace_grid(eta, tau0, 0.01, 2 * BLOCK, start=BLOCK), full[BLOCK : 3 * BLOCK])
-        peaks = conc2_block_max(eta, tau0, 0.01, n)
+        peaks, margin = conc2_block_max(eta, tau0, 0.01, n)
         assert peaks.shape == (6,)
         e_of_peaks = [eof_from_concurrence(math.sqrt(min(c, 1.0))) for c in peaks.tolist()]
         for b, e in enumerate(e_of_peaks):
@@ -148,6 +150,36 @@ def test_block_calls_match_the_full_grid_bit_for_bit():
         ent_trace_grid(0.1, 0.0, 0.01, 10, start=5)
     with pytest.raises(BadGrid):
         ent_trace_grid(0.1, 0.0, 0.01, 10, start=-BLOCK)
+
+
+def _elementwise_block_peaks(eta, tau0, step, n):
+    """The largest C^2 of each block as _Grid.conc2 computes it, the values ent_trace_grid turns into E."""
+    grid = kernels._Grid(eta, tau0, step, n, 0)
+    return np.concatenate([c2.max(axis=1) for _, c2 in kernels._chunks(grid)])
+
+
+@given(
+    eta=st.floats(min_value=1e-3, max_value=1e3),
+    tau0=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4)),
+    step=st.floats(min_value=1e-3, max_value=0.1),
+    n=st.one_of(st.integers(min_value=1, max_value=BLOCK), st.integers(min_value=1, max_value=70 * BLOCK)),
+)
+@settings(max_examples=120, deadline=None)
+# the phase passes 2**60 between blocks 1 and 2, where the blocks stop
+# carrying rounding-error terms
+@example(eta=1.3e15, tau0=210.3, step=0.01, n=5 * BLOCK + 321)
+@example(eta=0.1, tau0=0.0, step=0.01, n=1_000_001)  # a taustar grid, short last block
+@example(eta=0.37, tau0=12.5, step=0.01, n=BLOCK - 1)
+@example(eta=2.0, tau0=0.0, step=0.05, n=1)
+def test_block_peaks_are_within_their_margin(eta, tau0, step, n):
+    # the margin is a rounding bound over any BLAS; the elementwise block
+    # maxima are what tau_star's bounds must cover
+    peaks, margin = conc2_block_max(eta, tau0, step, n)
+    want = _elementwise_block_peaks(eta, tau0, step, n)
+    assert peaks.shape == want.shape == (-(-n // BLOCK),)
+    assert isinstance(margin, float) and 0.0 < margin < 1e-13
+    worst = float(np.max(np.abs(peaks - want)))
+    assert worst <= margin, (worst, margin)
 
 
 @pytest.mark.parametrize("eta", [1e160, 1e200])

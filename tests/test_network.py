@@ -271,13 +271,15 @@ _BAD_SETS = {
     "negative gamma_f": dict(ASYM, gamma_f=-0.1),
     "nan delta": dict(ASYM, delta=math.nan),
     "inf drive": dict(ASYM, drive=complex(0.0, math.inf)),
+    "j_oracle overflows": dict(SYM, drive=1e160),
+    "alpha overflows": dict(SYM, drive=complex(1.7e308, 1.7e308)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_SETS))
 def test_stack_raises_what_its_bad_set_raises_alone(case, unstack):
     bad = _BAD_SETS[case]
-    with pytest.raises((ValueError, NegativeLoss, ResonantRecycling)) as alone:
+    with pytest.raises((ValueError, NegativeLoss, ResonantRecycling, OutOfRange)) as alone:
         coupling(NetworkParams(**bad))
     pool = _set_pool(unstack)
     names = ("gamma", "delta", "chi", "drive", "phi12", "phi21", "gamma_f")
@@ -289,6 +291,42 @@ def test_stack_raises_what_its_bad_set_raises_alone(case, unstack):
             with pytest.raises(alone.type) as stacked:
                 coupling(NetworkParams(**columns))
             assert str(stacked.value) == str(alone.value)
+
+
+def test_results_beyond_the_float_range_are_refused():
+    # one set on floats overflows silently; coupling and steady_fields name
+    # the first value that is not finite, in the order the CLI prints them
+    for drive in (1e160, 1e300):
+        p = NetworkParams(**dict(SYM, drive=drive))
+        with pytest.raises(OutOfRange, match=r"^j_oracle is not finite, got -inf$"):
+            coupling(p)
+        assert math.isfinite(steady_fields(p).alpha.real)
+    p = NetworkParams(**dict(SYM, drive=complex(1.7e308, 1.7e308)))
+    for f in (coupling, steady_fields):
+        with pytest.raises(OutOfRange, match=r"^alpha_re is not finite, got inf$"):
+            f(p)
+
+
+def _error(f, p):
+    """(type, message) of what f(p) raises, or None."""
+    try:
+        f(p)
+    except (OutOfRange, ResonantRecycling) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("first, second", [("j_oracle overflows", "recycling"), ("recycling", "alpha overflows")])
+def test_stack_raises_the_error_of_its_first_failing_set(first, second, unstack):
+    # two bad sets that fail at different steps, the later set at the
+    # earlier step: the stack raises what its first failing set raises alone
+    pool = _set_pool(unstack)[:9]
+    sets = pool[:3] + [NetworkParams(**_BAD_SETS[first])] + pool[3:6] + [NetworkParams(**_BAD_SETS[second])] + pool[6:]
+    names = [f.name for f in dataclasses.fields(NetworkParams)]
+    stack = NetworkParams(**{name: np.array([getattr(q, name) for q in sets]) for name in names})
+    for f in (coupling, steady_fields):
+        alone = next(err for err in (_error(f, q) for q in sets) if err is not None)
+        assert _error(f, stack) == alone, f
 
 
 def test_params_stack_broadcasts_scalars_and_refuses_ragged_input():
