@@ -1,4 +1,4 @@
-"""The numpy byte formatter behind cli.cmd_evolve, and fmt9_block, its test-facing entry point.
+"""The numpy byte formatter behind cli.cmd_evolve: columns of floats in, fmt9 lines out.
 
 cli imports this module only when it writes a table, so the subcommands
 that print none never import numpy, and the lookup tables below are
@@ -8,7 +8,8 @@ A Formatter renders rows _PASS_ROWS at a time, on whole arrays of uint32
 lanes, with Python work only for the rare fallback cells below. It owns
 every array a pass works in and the buffer its text lands in: they are
 made once, when the Formatter is, sized for one pass of its ncols
-columns, and each step of a pass writes into them with out=. Per pass,
+columns, and each step of a pass writes into them with out=, the first
+step taking the caller's columns straight into them. Per pass,
 only the index of the kept bytes (from nonzero) and the index lists of
 rare cells are allocated, and glibc serves them from the heap the first
 pass grew.
@@ -37,6 +38,7 @@ call time so that a wrapper bound there sees every fallback call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 
@@ -100,23 +102,20 @@ _POINT_PATTERNS = _point_patterns()
 
 
 class Formatter:
-    """fmt9 lines of float tables with ncols columns, as ASCII bytes.
+    """fmt9 lines of ncols equal-length float columns, as ASCII bytes.
 
-    One Formatter serves one run: its work arrays are made here, once, and
-    every pass reuses them. A pass takes min(rows, _PASS_ROWS) rows, so a
-    caller whose tables are shorter passes their length, and a short, wide
-    table gets no buffers for rows it does not have. stream() gives the
-    text of consecutive tables as if they were one: block() yields each
-    pass's bytes as a view into the Formatter's own text buffer, valid
-    until the next one is drawn, so each must be written (or copied)
-    before the iterator goes on.
+    One Formatter serves one run: its work arrays are made here, once, for
+    a pass of _PASS_ROWS rows, and every pass reuses them. stream() gives
+    the text of consecutive blocks of columns as if they were one table:
+    block() yields each pass's bytes as a view into the Formatter's own
+    text buffer, valid until the next one is drawn, so each must be
+    written (or copied) before the iterator goes on.
     """
 
-    def __init__(self, ncols: int, sep: str, rows: int = _PASS_ROWS):
+    def __init__(self, ncols: int, sep: str):
         if len(sep) != 1 or not sep.isascii() or sep == "\0":
             raise ValueError(f"separator must be one ASCII character other than NUL, not {sep!r}")
-        self._rows = max(min(rows, _PASS_ROWS), 1)
-        n = self._rows * ncols
+        n = _PASS_ROWS * ncols
         self._floats = np.empty((9, n))
         self._ints = np.empty((4, n), dtype=np.int64)
         self._flags = np.empty((3, n), dtype=bool)
@@ -129,36 +128,41 @@ class Formatter:
         # a pad until a row is out, and stream() adds a last one
         opener = np.full(ncols, ord(sep), dtype=_LANE)
         opener[:1] = ord("\n")
-        self._opener = np.tile(opener, self._rows)
+        self._opener = np.tile(opener, _PASS_ROWS)
         self._opener[:1] = 0
         self._opened = False
 
-    def stream(self, tables: Iterable) -> Iterator[memoryview | bytes]:
-        """The bytes of fmt9_block over the tables joined, one pass at a time."""
-        for table in tables:
-            yield from self.block(table)
+    def stream(self, blocks: Iterable) -> Iterator[memoryview | bytes]:
+        """The LF-terminated lines of the blocks' rows joined, one pass at a time.
+
+        chain lets go of a block before it draws the next, so a block's
+        columns are freed before the next block is made.
+        """
+        yield from itertools.chain.from_iterable(map(self.block, blocks))
         if self._opened:
             yield b"\n"
 
-    def block(self, table) -> Iterator[memoryview]:
-        """One table's rows, a pass's bytes at a time; non-finite values raise ValueError."""
-        a = np.asarray(table, dtype=np.float64)
-        if not np.all(np.isfinite(a)):
+    def block(self, columns) -> Iterator[memoryview]:
+        """The rows of equal-length columns, a pass's bytes at a time; non-finite values raise ValueError."""
+        columns = [np.asarray(c, dtype=np.float64) for c in columns]
+        if not all(np.all(np.isfinite(c)) for c in columns):
             raise ValueError("refusing to format a non-finite number")
-        if a.size == 0:
-            return
-        for i in range(0, len(a), self._rows):
-            yield self._pass(a[i : i + self._rows])
+        for i in range(0, max(map(len, columns), default=0), _PASS_ROWS):
+            yield self._pass([c[i : i + _PASS_ROWS] for c in columns])
 
-    def _pass(self, a: np.ndarray) -> memoryview:
-        """The text of the rows of a, each line LF-opened, in the text buffer."""
-        n = a.size
+    def _pass(self, columns: list[np.ndarray]) -> memoryview:
+        """The text of the rows of the columns, each line LF-opened, in the text buffer."""
+        rows, ncols = len(columns[0]), len(columns)
+        n = rows * ncols
         x, mag, safe, lg, t, scale, y, q, z = self._floats[:, :n]
         d, rest, up, idx = self._ints[:, :n]
         sci, b, fallback = self._flags[:, :n]
         lane, cells, point = self._lane[:n], self._cells[:n], self._point[:n]
-        # -0.0 + 0.0 is +0.0, which prints unsigned like fmt9's zero
-        np.add(a, 0.0, out=x.reshape(a.shape))
+        # the columns' cells in row order; -0.0 + 0.0 is +0.0, which prints
+        # unsigned like fmt9's zero
+        table = x.reshape(rows, ncols)
+        for j, column in enumerate(columns):
+            np.add(column, 0.0, out=table[:, j])
         np.abs(x, out=mag)
         # sci = (mag != 0) & ((mag < 1e-8) | (mag >= 1e12))
         np.less(mag, 1e-8, out=sci)
@@ -241,12 +245,3 @@ class Formatter:
         self._opened = True
         return memoryview(text)
 
-
-def fmt9_block(table, sep: str) -> str:
-    """Rows of a 2-d float array as LF-terminated lines of sep-joined fmt9 values, as one str."""
-    a = np.asarray(table, dtype=np.float64)
-    rows, ncols = a.shape
-    formatter = Formatter(ncols, sep, rows)
-    if a.size == 0:
-        return "\n" * rows
-    return "".join(str(part, "ascii") for part in formatter.stream([a]))

@@ -18,12 +18,12 @@ numpy, 4,096 rows a pass: each cell's digits come from one correctly
 rounded integer, laid out in a fixed-width byte field whose pad bytes
 are dropped at the end, and the rare cell that the integer cannot be
 trusted for (a scientific form, or a value within 1e-6 of a rounding
-tie) gets fmt9's own text. The buffers of a run are made once: the
-Formatter's work arrays and text buffer, and cmd_evolve's one table
-that each block is copied into; so the heap does not churn from block
-to block. _emit writes every subcommand's rows as bytes, to the --out
-file or to sys.stdout.buffer, and says what must run before it so that
-a refused run writes nothing.
+tie) gets fmt9's own text. The Formatter's work arrays and text buffer
+are made once per run, and each block's tau and E columns go straight
+into them, so the heap does not churn from block to block. _emit writes
+every subcommand's rows as bytes, to the --out file or to
+sys.stdout.buffer, and says what must run before it so that a refused
+run writes nothing.
 
 This module imports only the scalar modules, errors, feasibility,
 network and numerics, none of which imports numpy. So steady, coupling
@@ -46,13 +46,13 @@ import contextlib
 import csv
 import itertools
 import math
+import operator
 import os
 import re
 import sys
 import types
 from collections.abc import Iterable
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from ._seed import DEFAULT_SEED
 from .errors import FiberspinError, OutOfRange, ValidationFailure
@@ -68,9 +68,6 @@ from .feasibility import (
     lossy_coupling_report,
 )
 from .network import NetworkParams, coupling, denominator, steady_fields, validate_regime
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class _CliUsage(Exception):
@@ -350,24 +347,15 @@ def cmd_coupling(args) -> None:
 
 
 def cmd_evolve(args) -> None:
-    import numpy as np
-
     from . import _blocks
-    from .entanglement import _BLOCK_ROWS, entanglement_blocks
+    from .entanglement import entanglement_blocks
 
     cfg = _resolve(args)
     # the whole-grid guards and the first block run here, before _emit opens anything
     blocks = entanglement_blocks(cfg["eta"], cfg["tau_max"], cfg["step"])
     formatter = _blocks.Formatter(2, "," if args.format == "csv" else " ")
-    table = np.empty((_BLOCK_ROWS, 2))
-
-    def filled(block) -> np.ndarray:
-        rows = table[: len(block.values)]
-        rows[:, 0] = block.taus
-        rows[:, 1] = block.values
-        return rows
-
-    texts = formatter.stream(map(filled, blocks))
+    # map holds no block it has passed on, so each is freed before the next is made
+    texts = formatter.stream(map(operator.attrgetter("taus", "values"), blocks))
     _emit(itertools.chain([("tau", "entanglement")], texts), args.format, args.out, kv=False)
 
 

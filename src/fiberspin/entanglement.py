@@ -267,10 +267,10 @@ def entanglement_blocks(eta: float, tau_max: float, step: float) -> Iterator[Ent
     EntanglementTrace, when the iterator reaches it.
     """
     n = _grid_points(tau_max, step)
-    kernels.check_grid(eta, 0.0, step, n)
+    kernels.check_grid(eta, step, n)
 
     def block(lo: int) -> EntanglementTrace:
-        values = kernels.ent_trace_grid(eta, 0.0, step, min(_BLOCK_ROWS, n - lo), start=lo)
+        values = kernels.ent_trace_grid(eta, step, n=min(_BLOCK_ROWS, n - lo), start=lo)
         return EntanglementTrace(eta=eta, step=step, values=values, start=lo)
 
     return itertools.chain([block(0)], map(block, range(_BLOCK_ROWS, n, _BLOCK_ROWS)))
@@ -325,12 +325,12 @@ def tau_star(
     if not isinstance(tolerance, (int, float)) or not math.isfinite(tolerance) or tolerance < 0.0:
         raise OutOfRange(f"tolerance must be >= 0, got {tolerance!r}")
     n = _grid_points(window, step)
-    peaks, margin = kernels.conc2_block_max(eta, 0.0, step, n)
+    peaks, margin = kernels.conc2_block_max(eta, step, n)
     bounds = peaks + margin
 
     def block_e(b: int) -> np.ndarray:
         lo = b * kernels.BLOCK
-        return kernels.ent_trace_grid(eta, 0.0, step, min(kernels.BLOCK, n - lo), start=lo)
+        return kernels.ent_trace_grid(eta, step, n=min(kernels.BLOCK, n - lo), start=lo)
 
     # any block's largest E bounds e_max from below, so every point that
     # reaches e_max lies in a block whose bound reaches that E's floor

@@ -18,22 +18,22 @@ and with sa = a1+a4, da = a1-a4, sb = b1+b4, db = b1-b4
     B = (sa^2 + da^2 - sb^2 - db^2)/2 = a1^2 + a4^2 - b1^2 - b4^2,
     D = sa*da - sb*db = a1^2 - a4^2 - b1^2 + b4^2.
 
-The two phases come from blocked tables. A grid is cut into blocks of
-BLOCK points, counted from its first point k = 0. Each block start tau_b
-gets its own cos and sin, with the rounding error of tau_b and of its
-phases carried to first order, and the point tau_b + j*step combines
-them with entry j of one table of BLOCK offset phases by the angle-sum
-identities. So a point costs a few real multiply-adds and no
-trigonometry, and its C^2 depends only on its block and its offset in
+The two phases come from blocked tables. A grid is the times k*step, cut
+into blocks of BLOCK points counted from k = 0. Each block start
+tau_b = k*step gets its own cos and sin, with the rounding error of that
+one product and of its phases carried to first order, and the point
+tau_b + j*step combines them with entry j of one table of BLOCK offset
+phases by the angle-sum identities. So a point costs a few real multiply-adds and
+no trigonometry, and its C^2 depends only on its block and its offset in
 the block: a call that starts at a block of a longer grid (the start
 argument) returns that block's values bit for bit. entanglement.tau_star
 relies on this. While a phase stays below 2**60 it is within a few ulp
-of omega*tau for the rounded omega. omega = 2*hypot(1, eta) itself
-is off by about 1e-16 relative or less, an error the phase carries
-times tau. Against a 40-digit trace at the exact grid times, over 30,000
+of omega*tau for the rounded omega. omega = 2*hypot(1, eta) itself is
+off by about 1e-16 relative or less, an error the phase carries times
+tau. Against a 40-digit trace at the exact grid times, over 30,000
 points with eta from 1e-3 to 1e3 and tau up to 1e4, E was off by at most
-2.0e-12; the evolve_analytic route was off by up to 3.4e-12 on 20,000
-of those points (tests/test_accuracy.py).
+2.0e-12; the evolve_analytic route was off by up to 3.4e-12 on 20,000 of
+those points (tests/test_accuracy.py).
 
 E follows from C^2 by the binary entropy, as in
 entanglement.eof_from_concurrence. Every operation runs in a fixed order
@@ -42,7 +42,7 @@ C^2 and E values are a pure function of the arguments; numpy's log2, among
 others, may round differently on another dispatch target.
 
 conc2_block_max, the first pass of tau_star, computes the same C^2 by
-two matrix products per chunk of blocks instead. Its block peaks are
+two matrix products per span of blocks instead. Its block peaks are
 within a margin, derived in its docstring, of the largest C^2 that
 ent_trace_grid computes in each block. The peaks' last bits may follow
 the BLAS kernel that numpy calls, which OpenBLAS picks by CPU; the
@@ -62,8 +62,8 @@ from .spins import eta_constants
 BLOCK = 1024
 
 #: blocks computed together; 32 * 1024 float64 values are 256 KiB per buffer.
-#: _Grid.conc2 makes three such buffers per chunk; conc2_block_max makes its
-#: two once per call and reuses them for every chunk
+#: _Grid.conc2 makes three such buffers per span; conc2_block_max makes its
+#: two once per call and reuses them for every span
 _ROWS = 32
 
 #: conc2_block_max's margin in units of 2**-53 * (Sr**2 + Si**2); its docstring derives it
@@ -106,37 +106,31 @@ def _prod_err(a, b, p):
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _sum_err(a, b, s):
-    """a + b - s, exactly, for s the rounded sum a + b (Knuth)."""
-    bb = s - a
-    return (a - (s - bb)) + (b - bb)
-
-
-def check_grid(eta: float, tau0: float, step: float, n: int, start: int = 0):
-    """The guard of ent_trace_grid(eta, tau0, step, n, start), run alone.
+def check_grid(eta: float, step: float, n: int, start: int = 0):
+    """The guard of ent_trace_grid(eta, step, n, start), run alone, for the grid k*step.
 
     Raises BadGrid or DegenerateEta exactly when that call would refuse its
     grid, and computes no point of it; otherwise returns trace_constants(eta).
     A caller that computes a long grid block by block can run it once for
     the whole grid before the first block.
     """
-    if not (math.isfinite(tau0) and math.isfinite(step)) or step <= 0.0:
-        raise BadGrid(f"need finite tau0 and step > 0, got tau0={tau0!r}, step={step!r}")
+    if not math.isfinite(step) or step <= 0.0:
+        raise BadGrid(f"need a finite step > 0, got {step!r}")
     if n < 1:
         raise BadGrid(f"need at least one grid point, got n={n!r}")
     if start < 0 or start % BLOCK:
         raise BadGrid(f"start must be a nonnegative multiple of {BLOCK}, got {start!r}")
     constants = trace_constants(eta)
-    if not math.isfinite(2.0 * constants[4] * (abs(tau0) + (start + n) * step)):
+    if not math.isfinite(2.0 * constants[4] * ((start + n) * step)):
         raise DegenerateEta(f"eta = {eta!r}: the phase 2*omega*tau leaves the float range")
     return constants
 
 
 class _Grid:
-    """Reduced-form coefficients and phases of the grid tau0 + k*step, k = start..start+n-1."""
+    """Reduced-form coefficients and phases of the grid k*step, k = start..start+n-1."""
 
-    def __init__(self, eta: float, tau0: float, step: float, n: int, start: int):
-        a1, a4, b1, b4, omega = check_grid(eta, tau0, step, n, start)
+    def __init__(self, eta: float, step: float, n: int, start: int):
+        a1, a4, b1, b4, omega = check_grid(eta, step, n, start)
         w = 2.0 * omega
         self.n = n
         # the values of 2z = 2*(u^2 - v^2 - w^2) are built, so C^2 = |2z|^2
@@ -144,21 +138,21 @@ class _Grid:
         b = 2.0 * (a1 * a1 + a4 * a4 - b1 * b1 - b4 * b4)
         d = 2.0 * (a1 * a1 - a4 * a4 - b1 * b1 + b4 * b4)
         offsets = np.arange(BLOCK, dtype=np.float64) * step
-        self.tables = (np.cos(w * offsets), np.sin(w * offsets), np.cos(4.0 * offsets), np.sin(4.0 * offsets))
+        wt, ft = w * offsets, 4.0 * offsets
+        self.tables = np.stack((np.cos(wt), np.sin(wt), np.cos(ft), np.sin(ft)))
 
-        # block starts tau0 + k*step, k = start + b*BLOCK, and their phases w*tau
+        # block starts tau = k*step, k = start + b*BLOCK, and their phases w*tau
         # and 4*tau, each carried with its rounding error at the blocks whose
         # phase is below 2**60; beyond that a phase keeps no fraction of a
         # turn. The choice is each block's own, so a block's values do not
         # depend on how long a grid it is part of
         k = np.arange(start, start + n, BLOCK, dtype=np.float64)
-        p = k * step
-        tau = tau0 + p
+        tau = k * step
         theta = w * tau
-        near = (np.abs(theta) < 2.0**60) & (w < 2.0**60)
+        near = (theta < 2.0**60) & (w < 2.0**60)
         # only the terms of blocks past 2**60 can overflow, and they are dropped
         with np.errstate(over="ignore", invalid="ignore"):
-            tau_err = _sum_err(tau0, p, tau) + _prod_err(k, step, p)
+            tau_err = _prod_err(k, step, tau)
             theta_err = _prod_err(w, tau, theta) + w * tau_err
         tau_err = np.where(near, tau_err, 0.0)
         theta_err = np.where(near, theta_err, 0.0)
@@ -168,23 +162,24 @@ class _Grid:
         cf, sf = cf - 4.0 * tau_err * sf, sf + 4.0 * tau_err * cf
         # Re 2z = 2A + 2B cos(w tau) - cos(4 tau)/2 and Im 2z = 2D sin(w tau) + sin(4 tau)/2,
         # each phase at tau_b + t expanded over the tables' cos and sin of t
-        self.starts = np.stack(
-            (b * cw, -b * sw, -0.5 * cf, 0.5 * sf, d * sw, d * cw, 0.5 * sf, 0.5 * cf)
-        )[:, :, None]
+        self.starts = np.stack((b * cw, -b * sw, -0.5 * cf, 0.5 * sf, d * sw, d * cw, 0.5 * sf, 0.5 * cf))
 
     @property
     def blocks(self) -> int:
         return self.starts.shape[1]
 
-    def conc2(self, b0: int, b1: int) -> np.ndarray:
-        """C^2 on the grid's blocks b0..b1-1 as a (b1-b0, width) array.
+    def spans(self):
+        """(b0, b1, width): blocks b0..b1-1 of width points, _ROWS at a time; a short last block comes alone."""
+        full = self.n // BLOCK
+        for b0 in range(0, full, _ROWS):
+            yield b0, min(b0 + _ROWS, full), BLOCK
+        if full < self.blocks:
+            yield full, full + 1, self.n - full * BLOCK
 
-        width is BLOCK, or the length of the grid's last block when b1 - b0
-        is 1 and that block is short.
-        """
-        width = min(BLOCK, self.n - b0 * BLOCK)
-        starts = self.starts[:, b0:b1]
-        tables = [t[:width] for t in self.tables]
+    def conc2(self, b0: int, b1: int, width: int) -> np.ndarray:
+        """C^2 on the first width points of the grid's blocks b0..b1-1, as a (b1-b0, width) array."""
+        starts = self.starts[:, b0:b1, None]
+        tables = self.tables[:, :width]
         re = np.multiply(starts[0], tables[0])
         im = np.multiply(starts[4], tables[0])
         tmp = np.empty_like(re)
@@ -220,48 +215,38 @@ def _eof(c2: np.ndarray) -> np.ndarray:
     return y
 
 
-def _chunks(grid: _Grid):
-    """(first block, C^2 rows) over the grid, _ROWS blocks at a time; a short last block comes alone."""
-    full = grid.n // BLOCK
-    for b0 in range(0, full, _ROWS):
-        b1 = min(b0 + _ROWS, full)
-        yield b0, grid.conc2(b0, b1)
-    if full < grid.blocks:
-        yield full, grid.conc2(full, full + 1)
-
-
-def ent_trace_grid(eta: float, tau0: float, step: float, n: int, start: int = 0) -> np.ndarray:
-    """Entanglement of formation at tau0 + k*step for k = start, ..., start+n-1.
+def ent_trace_grid(eta: float, step: float, n: int, start: int = 0) -> np.ndarray:
+    """Entanglement of formation at k*step for k = start, ..., start+n-1.
 
     Returns a float64 array of length n with every value in [0, 1]. start
     must be a multiple of BLOCK; the values are then those of the same
-    points in any longer grid with the same tau0 and step, bit for bit.
-    A grid that check_grid refuses raises before anything is computed.
+    points in any longer grid with the same step, bit for bit. A grid
+    that check_grid refuses raises before anything is computed.
     """
-    grid = _Grid(eta, tau0, step, int(n), int(start))
+    grid = _Grid(eta, step, int(n), int(start))
     out = np.empty(grid.n, dtype=np.float64)
-    for b0, c2 in _chunks(grid):
+    for b0, b1, width in grid.spans():
         lo = b0 * BLOCK
-        out[lo : lo + c2.size] = _eof(c2).ravel()
+        out[lo : lo + (b1 - b0) * width] = _eof(grid.conc2(b0, b1, width)).ravel()
     return out
 
 
-def conc2_block_max(eta: float, tau0: float, step: float, n: int) -> tuple[np.ndarray, float]:
-    """(peaks, margin): the largest C^2 of each block of the ent_trace_grid grid, to within margin.
+def conc2_block_max(eta: float, step: float, n: int) -> tuple[np.ndarray, float]:
+    """(peaks, margin): the largest C^2 of each block of the grid k*step, k < n, to within margin.
 
     peaks holds ceil(n / BLOCK) values and margin is one float for the
     grid: each peak is within margin of the largest C^2 that
     ent_trace_grid computes in its block, so peak + margin bounds that C^2
     from above. Memory stays O(BLOCK * _ROWS).
 
-    A chunk of blocks costs two matrix products, not the elementwise
-    passes of _Grid.conc2: Re 2z is the blocks' coefficients
-    starts[:4] times the (4, width) stack of the phase tables, plus a,
-    and Im 2z is starts[4:] times the same stack. Both routes thus sum the
-    same five terms, a and four coefficient-times-table products, in
-    different orders, the products here in whatever order and with
-    whatever fused multiply-adds the BLAS kernel picks, so the peaks' last
-    bits may follow the BLAS. The margin holds for any of them.
+    A span of blocks costs two matrix products, not the elementwise passes of
+    _Grid.conc2: Re 2z is the blocks' coefficients starts[:4] times the
+    (4, width) phase tables, plus a, and Im 2z is starts[4:] times the same
+    tables. Both routes thus sum the same five terms, a and four
+    coefficient-times-table products, in different orders, the products here
+    in whatever order and with whatever fused multiply-adds the BLAS kernel
+    picks, so the peaks' last bits may follow the BLAS. The margin holds for
+    any of them.
 
     With u = 2**-53 and gamma_k = k*u/(1 - k*u), a k-term dot product
     evaluated in any order, with or without FMA, is within
@@ -284,9 +269,8 @@ def conc2_block_max(eta: float, tau0: float, step: float, n: int) -> tuple[np.nd
     u * max_b (Sr**2 + Si**2); the rest of the 25 covers the dozen
     roundings of computing the margin itself, each a relative 2**-53.
     """
-    grid = _Grid(eta, tau0, step, int(n), 0)
-    coef = grid.starts[:, :, 0]
-    table = np.stack(grid.tables)
+    grid = _Grid(eta, step, int(n), 0)
+    coef, table = grid.starts, grid.tables
     t = np.abs(table).max(axis=1)[:, None]
     s_re = abs(grid.a) + (np.abs(coef[:4]) * t).sum(axis=0)
     s_im = (np.abs(coef[4:]) * t).sum(axis=0)
@@ -296,12 +280,7 @@ def conc2_block_max(eta: float, tau0: float, step: float, n: int) -> tuple[np.nd
     rows = min(_ROWS, grid.blocks)
     re, im = np.empty((rows, BLOCK)), np.empty((rows, BLOCK))
     peaks = np.empty(grid.blocks, dtype=np.float64)
-    full = grid.n // BLOCK
-    spans = [(b0, min(b0 + _ROWS, full)) for b0 in range(0, full, _ROWS)]
-    if full < grid.blocks:
-        spans.append((full, full + 1))
-    for b0, b1 in spans:
-        width = min(BLOCK, grid.n - b0 * BLOCK)
+    for b0, b1, width in grid.spans():
         r, i = re[: b1 - b0, :width], im[: b1 - b0, :width]
         np.matmul(lhs_re[b0:b1], table[:, :width], out=r)
         np.matmul(lhs_im[b0:b1], table[:, :width], out=i)

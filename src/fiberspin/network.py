@@ -34,19 +34,20 @@ the parts core of numerics: every complex product, quotient and
 exponential is spelled out over (re, im) parts in CPython's own order,
 so a set gets the same bits alone as at any position in a stack, and
 the same bits as plain Python complex arithmetic. Float arithmetic
-overflows to inf or NaN without raising, so steady_fields and coupling
-check what they return and raise OutOfRange naming the first part or
-field that is not finite. A stack raises the error its first failing set
-would raise alone: a stack that fails is computed again set by set, in
-order, until one raises. A stack costs a fixed
-number of numpy calls whatever its length, so a caller with many sets
-should stack them rather than loop over them. One set makes no numpy
-call; a stack's numpy work, as numerics', is in fiberspin._arrays, which
-only a stack imports.
+overflows to inf or NaN without raising, so steady_fields, coupling
+and theta_variants check what they return, and D before the resonance
+test, and raise OutOfRange naming the first part or field that is not
+finite. A stack raises the error its first failing set would raise
+alone: a stack that fails is computed again set by set, in order, until
+one raises. A stack costs a fixed number of numpy calls whatever its
+length, so a caller with many sets should stack them rather than loop
+over them. One set makes no numpy call; a stack's numpy work, as
+numerics', is in fiberspin._arrays, which only a stack imports.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -187,20 +188,26 @@ def _one_set(p: NetworkParams, i: int) -> NetworkParams:
     return one
 
 
-def _per_set(p: NetworkParams, compute):
-    """compute(p); a stack that fails raises what its first failing set raises alone.
+def _quiet(p: NetworkParams):
+    """numpy's floating-point warnings off for a stack, as one set on floats overflows without one.
 
-    A stack runs with numpy's floating-point warnings off, as one set on
-    floats overflows without a warning; the finiteness checks refuse it.
+    The finiteness checks refuse what overflowed.
     """
     if isinstance(p.gamma, float):
-        return compute(p)
+        return contextlib.nullcontext()
     import numpy as np
 
+    return np.errstate(all="ignore")
+
+
+def _per_set(p: NetworkParams, compute):
+    """compute(p); a stack that fails raises what its first failing set raises alone."""
     try:
-        with np.errstate(all="ignore"):
+        with _quiet(p):
             return compute(p)
     except (FiberspinError, ArithmeticError, ValueError):
+        if isinstance(p.gamma, float):
+            raise
         for i in range(len(p.gamma)):
             compute(_one_set(p, i))
         raise
@@ -225,7 +232,8 @@ def steady_fields(p: NetworkParams) -> SteadyFields:
     beta = gamma*alpha*exp(i*phi21 - gamma_f)/(gamma+i*delta) for the
     far one.
 
-    Raises ResonantRecycling when |D| <= 1e-9*(gamma^2+delta^2), the
+    Raises OutOfRange when a part of D or gamma^2+delta^2 leaves the
+    float range, ResonantRecycling when |D| <= 1e-9*(gamma^2+delta^2), the
     neighborhood of the recycling resonance where the fields diverge, and
     OutOfRange when a part of alpha or beta leaves the float range.
     """
@@ -243,6 +251,8 @@ def _steady(p: NetworkParams, d, hop21):
     ops = _parts_of(p.gamma)
     mu = (p.gamma, p.delta)
     scale = p.gamma * p.gamma + p.delta * p.delta
+    # past the float range |D| and its threshold are both inf: an overflow, not the resonance
+    _require_finite(ops, (("denominator_re", d[0]), ("denominator_im", d[1]), ("gamma^2+delta^2", scale)))
     d_mod = ops.mod(d)
     bad = ops.first(d_mod <= EPS_SINGULAR * scale, d_mod, scale)
     if bad is not None:
@@ -351,8 +361,14 @@ def theta_variants(p: NetworkParams, s: SteadyFields) -> tuple[float, float]:
     theta2 = Im{alpha*conj(beta)*e^{i*phi21-gamma_f}/D}. No equality
     between them is assumed; they coincide only on the symmetric
     manifold (see module docstring).
+
+    Raises OutOfRange naming theta1 or theta2 when it leaves the float
+    range; a stack raises what its first failing set raises alone.
     """
-    return _thetas(p, _split(s.alpha), _split(s.beta), _split(denominator(p)), _hop12(p), _hop21(p))
+    with _quiet(p):
+        t = _thetas(p, _split(s.alpha), _split(s.beta), _split(denominator(p)), _hop12(p), _hop21(p))
+    _require_finite(_parts_of(p.gamma), (("theta1", t[0]), ("theta2", t[1])))
+    return t
 
 
 def _thetas(p: NetworkParams, alpha, beta, d, hop12, hop21):

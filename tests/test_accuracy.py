@@ -58,7 +58,7 @@ def test_kernel_is_within_its_measured_bound_of_the_exact_trace():
             for k in rng.integers(0, int(1e4 / step) + 1, 8).tolist():
                 # the block holding k, computed as a call on the whole grid would
                 start = k - k % kernels.BLOCK
-                e = kernels.ent_trace_grid(eta, 0.0, step, k - start + 1, start=start)[-1]
+                e = kernels.ent_trace_grid(eta, step, k - start + 1, start=start)[-1]
                 err = float(abs(mpmath.mpf(float(e)) - exact(mpmath.mpf(k) * mpmath.mpf(step))))
                 worst = max(worst, (err, (eta, step, k)))
     assert worst[0] <= BOUND, worst

@@ -2,7 +2,9 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
+import json
 import math
 import os
 import shutil
@@ -32,7 +34,7 @@ from fiberspin import (
 from fiberspin import cli as cli_module
 from fiberspin.entanglement import _BLOCK_ROWS
 from fiberspin import _blocks, errors
-from fiberspin._blocks import _PASS_ROWS, fmt9_block
+from fiberspin._blocks import _PASS_ROWS
 from fiberspin.cli import (
     _CliUsage,
     _resolve,
@@ -56,6 +58,15 @@ def test_fmt9_formatting():
     assert fmt9(5e-9) == "5.00000000e-09"
     with pytest.raises(ValueError):
         fmt9(math.nan)
+
+
+def fmt9_block(table, sep):
+    """Rows of a 2-d float array as LF-terminated lines of sep-joined fmt9 values, through a Formatter."""
+    a = np.asarray(table, dtype=np.float64)
+    formatter = _blocks.Formatter(a.shape[1], sep)
+    if a.size == 0:
+        return "\n" * len(a)
+    return "".join(str(part, "ascii") for part in formatter.stream([a.T]))
 
 
 def _fmt9_lines(table, sep):
@@ -248,20 +259,6 @@ def test_fmt9_block_memory_stays_small():
     assert peak <= _TEMPLATE_PEAK
 
 
-def test_fmt9_block_buffers_only_the_rows_it_has():
-    # a short, wide table: buffers for a whole 4,096-row pass of 20,000
-    # columns would take about 16 GB; its own two rows take about 300 B a cell
-    table = np.random.default_rng(5).uniform(-1e3, 1e3, (2, 20_000))
-    tracemalloc.start()
-    try:
-        text = fmt9_block(table, ",")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert text == _fmt9_lines(table, ",")
-    assert peak < 400 * table.size, peak
-
-
 def test_evolve_streams_blocks_byte_identical(cli, tmp_path):
     # 150,001 rows: nine full 16,384-row blocks and a partial tenth
     trace = entanglement_trace(0.1, 1500.0, 0.01)
@@ -281,7 +278,7 @@ def test_evolve_streams_blocks_byte_identical(cli, tmp_path):
 
 
 def test_evolve_fails_before_writing(monkeypatch, capsys, tmp_path):
-    def nan_kernel(eta, tau0, step, n, start=0):
+    def nan_kernel(eta, step, n, start=0):
         values = np.zeros(n)
         values[-1] = math.nan
         return values
@@ -305,8 +302,8 @@ def test_evolve_fails_before_writing(monkeypatch, capsys, tmp_path):
 def test_evolve_removes_its_out_file_when_a_later_block_fails(monkeypatch, capsys, tmp_path):
     real = kernels.ent_trace_grid
 
-    def late_nan_kernel(eta, tau0, step, n, start=0):
-        values = real(eta, tau0, step, n, start=start)
+    def late_nan_kernel(eta, step, n, start=0):
+        values = real(eta, step, n, start=start)
         if start > 0:
             values[-1] = math.nan
         return values
@@ -352,13 +349,13 @@ def test_evolve_never_holds_the_whole_grid(monkeypatch, tmp_path):
     kernel_calls, formatted = [], []
     real_kernel, real_format = kernels.ent_trace_grid, _blocks.Formatter.block
 
-    def kernel(eta, tau0, step, n, start=0):
+    def kernel(eta, step, n, start=0):
         kernel_calls.append((start, n))
-        return real_kernel(eta, tau0, step, n, start=start)
+        return real_kernel(eta, step, n, start=start)
 
-    def format_block(self, table):
-        formatted.append(len(table))
-        return real_format(self, table)
+    def format_block(self, columns):
+        formatted.append(tuple(map(len, columns)))
+        return real_format(self, columns)
 
     monkeypatch.setattr(kernels, "ent_trace_grid", kernel)
     monkeypatch.setattr(_blocks.Formatter, "block", format_block)
@@ -368,7 +365,7 @@ def test_evolve_never_holds_the_whole_grid(monkeypatch, tmp_path):
     assert all(n <= _BLOCK_ROWS for _, n in kernel_calls)
     ends = [0] + [start + n for start, n in kernel_calls]
     assert [start for start, _ in kernel_calls] == ends[:-1] and ends[-1] == rows
-    assert formatted == [n for _, n in kernel_calls]
+    assert formatted == [(n, n) for _, n in kernel_calls]
     monkeypatch.undo()
 
     # numpy reports its buffers to tracemalloc, so a whole-grid array would show
@@ -457,6 +454,14 @@ def test_steady_singularity_exits_2(cli):
     assert r.returncode == 2
     assert r.stderr.startswith(b"error: resonant-recycling:")
     assert r.stdout == b""
+
+
+@pytest.mark.parametrize("argv", [("steady", "--gamma", "1e200"), ("coupling", "--delta", "1e170")])
+def test_overflow_is_one_out_of_range_line_not_resonance(cli, argv):
+    r = cli(*argv)
+    assert (r.returncode, r.stdout) == (1, b"")
+    assert r.stderr.startswith(b"error: out-of-range: denominator_re is not finite")
+    assert r.stderr.count(b"\n") == 1
 
 
 def test_coupling_sym_and_asym(cli):
@@ -872,6 +877,60 @@ def test_golden_cli_transcripts(capsys):
         assert (captured.out, captured.err) == (expected, ""), argv
 
 
+#: sha256 of the stdout of runs shaped like the benchmark's workloads; the
+#: evolve runs cross entanglement-block, formatter-pass and kernel-block
+#: boundaries, and the taustar run scans whole 10^6-point grids
+GOLDEN_DIGESTS = {
+    # 100,002 lines
+    ("evolve", "--eta", "0.137", "--tau-max", "1000"): (
+        "78323865e76ddd6ecaf0db0ecf5276973cb6f7d0a5e45bbc3f85bfa189eef2ff"
+    ),
+    ("evolve", "--eta", "0.137", "--tau-max", "1000", "--format", "text"): (
+        "5aace44fda3389f56dfae1ece75da005434c15c090e0fd50a5bbc672fca28e90"
+    ),
+    ("taustar", "--etas", "0.4,0.2,0.1,0.05,0.013"): (
+        "dc468a8462bc5aca982280334df5027a24cd2105dccc110f1b0d51ca39b3a815"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS))
+def test_golden_digests_of_benchmark_shaped_runs(cli, argv):
+    r = cli(*argv)
+    assert (r.returncode, r.stderr) == (0, b""), argv
+    assert hashlib.sha256(r.stdout).hexdigest() == GOLDEN_DIGESTS[argv], argv
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+def _traced(tmp_path, *argv):
+    """(exit code, stats) of one CLI run under perfbench/tracer.py."""
+    stats = tmp_path / "stats.json"
+    path = os.pathsep.join(filter(None, [str(_REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    r = subprocess.run(
+        [sys.executable, str(_REPO / "perfbench" / "tracer.py"), str(stats), *argv],
+        capture_output=True,
+        env=env,
+    )
+    assert r.stderr == b"", r.stderr
+    return r.returncode, json.loads(stats.read_text(encoding="utf-8"))
+
+
+def test_the_tracer_sees_every_traced_function_and_counts_kernel_points(tmp_path):
+    # the tracer reads the kernel's n from its fourth positional argument or
+    # from the n keyword, so a call in src/ that passes n or start by position
+    # breaks or miscounts traced benchmark runs
+    code, stats = _traced(tmp_path, "evolve", "--tau-max", "400", "--step", "0.01", "--out", str(tmp_path / "t.csv"))
+    assert (code, stats["code"], stats["missing"]) == (0, 0, [])
+    assert stats["counts"]["kernels.ent_trace_grid"] == 40_001
+    code, stats = _traced(tmp_path, "taustar", "--etas", "0.4", "--window", "100")
+    assert (code, stats["code"], stats["missing"]) == (0, 0, [])
+    # tau_star's three one-block kernel calls
+    assert stats["counts"]["kernels.ent_trace_grid"] == 3 * kernels.BLOCK
+
+
 def test_emit_keeps_order_with_earlier_prints_on_every_stdout(capsys):
     # _emit flushes sys.stdout and writes bytes to its buffer; a stdout with no
     # buffer, such as io.StringIO, gets the same text decoded. A TextIOWrapper
@@ -913,10 +972,11 @@ def test_golden_transcripts_do_not_follow_numpy_cpu_dispatch(cli):
     edges = [v for v, _ in FMT9_EDGES]
     probe = (
         f"import {_umath.__name__} as m; import numpy as np; "
-        "from fiberspin.cli import fmt9; from fiberspin._blocks import fmt9_block; "
+        "from fiberspin.cli import fmt9; from fiberspin._blocks import Formatter; "
         f"xs = np.array({edges!r}); "
         f"print(*(m.__cpu_features__[t] for t in {targets!r})); "
-        "print(fmt9_block(xs[:, None], ',') == ''.join(fmt9(x) + '\\n' for x in xs))"
+        "text = b''.join(Formatter(1, ',').stream([[xs]])); "
+        "print(text == ''.join(fmt9(x) + '\\n' for x in xs).encode())"
     )
     check = subprocess.run([sys.executable, "-c", probe], capture_output=True, env={**os.environ, **env})
     assert check.stdout.split() == [b"False"] * len(targets) + [b"True"], check.stderr
@@ -947,9 +1007,9 @@ import numpy as np
 from fiberspin import kernels
 worst = 0.0
 for eta, n in ((0.4, 20_001), (0.2, 20_001), (0.1, 1_000_001), (0.7, 1_000_001)):
-    peaks, margin = kernels.conc2_block_max(eta, 0.0, 0.01, n)
-    grid = kernels._Grid(eta, 0.0, 0.01, n, 0)
-    want = np.concatenate([c2.max(axis=1) for _, c2 in kernels._chunks(grid)])
+    peaks, margin = kernels.conc2_block_max(eta, 0.01, n)
+    grid = kernels._Grid(eta, 0.01, n, 0)
+    want = np.concatenate([grid.conc2(*span).max(axis=1) for span in grid.spans()])
     worst = max(worst, float(np.max(np.abs(peaks - want))) / margin)
 print(worst)
 """

@@ -211,11 +211,11 @@ def test_trace_grid_cap_refuses_before_allocating(monkeypatch):
     calls = []
     check_grid = kernels.check_grid
 
-    def checked(eta, tau0, step, n):
+    def checked(eta, step, n):
         calls.append(("check_grid", n))
-        check_grid(eta, tau0, step, n)
+        check_grid(eta, step, n)
 
-    def kernel(eta, tau0, step, n, start=0):
+    def kernel(eta, step, n, start=0):
         calls.append(("kernel", start))
         raise _KernelReached
 
@@ -305,7 +305,7 @@ def test_blocks_are_the_trace_bit_for_bit(eta, tau_max):
     step = 0.01
     # the reference is one kernel call on the whole grid, which no trace makes
     n = round(tau_max / step) + 1
-    taus, values = np.arange(n) * step, kernels.ent_trace_grid(eta, 0.0, step, n)
+    taus, values = np.arange(n) * step, kernels.ent_trace_grid(eta, step, n)
     blocks = list(entanglement_blocks(eta, tau_max, step))
     assert all(b.taus.size <= _BLOCK_ROWS for b in blocks)
     assert np.array_equal(np.concatenate([b.taus for b in blocks]), taus)
@@ -319,15 +319,15 @@ def test_blocks_refuse_the_whole_grid_before_returning(monkeypatch):
     made = []
     real = kernels.ent_trace_grid
 
-    def kernel(eta, tau0, step, n, start=0):
+    def kernel(eta, step, n, start=0):
         made.append(start)
-        return real(eta, tau0, step, n, start=start)
+        return real(eta, step, n, start=start)
 
     monkeypatch.setattr(kernels, "ent_trace_grid", kernel)
     with pytest.raises(BadGrid):
         entanglement_blocks(0.1, 1e7, 0.01)
     # the first block passes the kernel's phase guard; the grid's last point does not
-    kernels.check_grid(1e305, 0.0, 0.01, _BLOCK_ROWS)
+    kernels.check_grid(1e305, 0.01, _BLOCK_ROWS)
     with pytest.raises(DegenerateEta):
         entanglement_blocks(1e305, 1000.0, 0.01)
     assert made == []
@@ -368,7 +368,7 @@ def test_tau_star_decreases_with_eta_short_window():
 def _full_grid_tau_star(eta, window, step, tolerance):
     """tau_star and e_max read off the whole kernel grid, the way the definition says."""
     n = int(math.floor(window / step + 1e-9)) + 1
-    values = kernels.ent_trace_grid(eta, 0.0, step, n)
+    values = kernels.ent_trace_grid(eta, step, n)
     e_max = float(values.max())
     idx = int(np.argmax(values >= e_max - tolerance))
     return float(np.arange(n, dtype=np.float64)[idx] * step), e_max

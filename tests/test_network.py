@@ -273,6 +273,8 @@ _BAD_SETS = {
     "inf drive": dict(ASYM, drive=complex(0.0, math.inf)),
     "j_oracle overflows": dict(SYM, drive=1e160),
     "alpha overflows": dict(SYM, drive=complex(1.7e308, 1.7e308)),
+    "gamma squared overflows": dict(SYM, gamma=1e200),
+    "delta squared overflows": dict(SYM, delta=1e170),
 }
 
 
@@ -327,6 +329,35 @@ def test_stack_raises_the_error_of_its_first_failing_set(first, second, unstack)
     for f in (coupling, steady_fields):
         alone = next(err for err in (_error(f, q) for q in sets) if err is not None)
         assert _error(f, stack) == alone, f
+
+
+@pytest.mark.parametrize("case", ["gamma squared overflows", "delta squared overflows"])
+def test_overflow_is_out_of_range_not_resonance(case):
+    # gamma^2 or delta^2 past the float range makes |D| and its resonance
+    # threshold both inf: the fields are out of range, not near the resonance
+    p = NetworkParams(**_BAD_SETS[case])
+    for f in (steady_fields, coupling):
+        with pytest.raises(OutOfRange, match=r"^denominator_re is not finite, got (nan|-inf)$"):
+            f(p)
+        # a two-set stack whose second set overflows raises what that set raises alone
+        assert _error(f, _stack([NetworkParams(**SYM), p])) == _error(f, p), f
+    # a real resonance is still one
+    with pytest.raises(ResonantRecycling):
+        steady_fields(NetworkParams(**_BAD_SETS["recycling"]))
+
+
+def test_theta_variants_refuses_fields_beyond_the_float_range():
+    p = NetworkParams(**SYM)
+    huge = network.SteadyFields(alpha=complex(1e300, 1e300), beta=complex(1e300, 1e300))
+    with pytest.raises(OutOfRange, match=r"^theta1 is not finite, got "):
+        theta_variants(p, huge)
+    s = steady_fields(p)
+    stack = network.SteadyFields(alpha=np.array([s.alpha, huge.alpha]), beta=np.array([s.beta, huge.beta]))
+    with pytest.raises(OutOfRange) as stacked:
+        theta_variants(_stack([p, p]), stack)
+    with pytest.raises(OutOfRange) as alone:
+        theta_variants(p, huge)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_params_stack_broadcasts_scalars_and_refuses_ragged_input():
