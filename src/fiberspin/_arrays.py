@@ -4,9 +4,11 @@ numerics and network compute one system or parameter set on Python
 floats and never import numpy. Their stack paths, and the public array
 routines solve2, eig_hermitian4 and propagate, import this module where
 they first need it (numerics._parts_of on a part that is not a float,
-the three public routines, and network's two stack branches), so numpy
+the three public routines, and network's stack branches), so numpy
 loads with it, once, and never for a float-only run. The public routines
-and their docstrings stay in numerics; their bodies are here.
+and their docstrings stay in numerics; their bodies are here. first_alone
+is the one place that makes a stack raise what its first failing member
+raises alone; a stack guard, _StackParts.fails, only detects a failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 from . import numerics
-from .errors import NotHermitian, NotNormalized
+from .errors import FiberspinError, NotHermitian, NotNormalized
 from .numerics import HERMITIAN_TOL, NORM_TOL, HermEig4, _solve2, _split
 
 _JACOBI_MAX_SWEEPS = 30
@@ -25,6 +27,22 @@ _JACOBI_OFF_TOL = 1e-14
 
 # fixed upper-triangle visit order for the cyclic sweeps
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+class _StackFailed(Exception):
+    """A stack guard tripped; first_alone finds the member whose error to raise."""
+
+
+def first_alone(compute, member, n: int):
+    """compute() on a stack of n members; if that fails, member(0), member(1), ... alone until one raises."""
+    try:
+        # one member on floats overflows silently, and the guards refuse what overflowed
+        with np.errstate(all="ignore"):
+            return compute()
+    except (FiberspinError, ArithmeticError, ValueError, _StackFailed) as exc:
+        for i in range(n):
+            member(i)
+        raise RuntimeError(f"a stack of {n} failed but no member fails alone: they disagree on bits") from exc
 
 
 class _StackParts:
@@ -36,16 +54,15 @@ class _StackParts:
         # takes the branch CPython takes for it, and the other one may
         # divide by zero or overflow unseen
         (ar, ai), (br, bi) = a, b
-        with np.errstate(all="ignore"):
-            r1 = bi / br
-            d1 = br + bi * r1
-            r2 = br / bi
-            d2 = br * r2 + bi
-            by_re = np.abs(br) >= np.abs(bi)
-            return (
-                np.where(by_re, (ar + ai * r1) / d1, (ar * r2 + ai) / d2),
-                np.where(by_re, (ai - ar * r1) / d1, (ai * r2 - ar) / d2),
-            )
+        r1 = bi / br
+        d1 = br + bi * r1
+        r2 = br / bi
+        d2 = br * r2 + bi
+        by_re = np.abs(br) >= np.abs(bi)
+        return (
+            np.where(by_re, (ar + ai * r1) / d1, (ar * r2 + ai) / d2),
+            np.where(by_re, (ai - ar * r1) / d1, (ai * r2 - ar) / d2),
+        )
 
     @staticmethod
     def expcis(x, phi):
@@ -65,21 +82,18 @@ class _StackParts:
     @staticmethod
     def mod(z):
         # numpy's hypot is libm's, which abs(complex) calls
-        with np.errstate(over="ignore"):
-            return np.hypot(*z)
+        return np.hypot(*z)
 
     @staticmethod
     def square(x):
         # libm's pow, which float ** calls; x * x rounds differently for some x
-        with np.errstate(over="ignore"):
-            return np.float_power(x, 2.0)
+        return np.float_power(x, 2.0)
 
     @staticmethod
     def ldexp(z, k):
-        with np.errstate(over="ignore"):
-            out = np.ldexp(z[0], k), np.ldexp(z[1], k)
-        if not np.isfinite(out).all() and (np.isinf(out) & np.isfinite(z)).any():
-            raise OverflowError("math range error")
+        out = np.ldexp(z[0], k), np.ldexp(z[1], k)
+        # a finite part that leaves the float range, where math.ldexp raises
+        _StackParts.fails(np.isinf(out) & np.isfinite(z))
         return out
 
     @staticmethod
@@ -94,13 +108,13 @@ class _StackParts:
     def max(*values):
         return np.max(values, axis=0)
 
+    any = staticmethod(np.any)
+
     @staticmethod
-    def first(mask, *values):
-        """None if no system's guard mask is set, else values at the first one that is."""
-        if not mask.any():
-            return None
-        i = int(mask.argmax())
-        return tuple(v[i].item() if isinstance(v, np.ndarray) else v for v in values)
+    def fails(mask):
+        """_StackFailed if any member's guard mask is set; else None, and the guard passes."""
+        if mask.any():
+            raise _StackFailed
 
     @staticmethod
     def pack(re, im):
@@ -118,7 +132,8 @@ def solve2(m, rhs) -> np.ndarray:
         return np.array([complex(*x0), complex(*x1)])
     if a.ndim != 3 or a.shape[1:] != (2, 2) or b.shape != (len(a), 2):
         raise ValueError(f"expected shapes (2,2) and (2,) or (n,2,2) and (n,2), got {a.shape} and {b.shape}")
-    x0, x1 = _solve2(*(_split(a[:, i, j]) for i in (0, 1) for j in (0, 1)), _split(b[:, 0]), _split(b[:, 1]))
+    parts = [_split(a[:, i, j]) for i in (0, 1) for j in (0, 1)] + [_split(b[:, 0]), _split(b[:, 1])]
+    x0, x1 = first_alone(lambda: _solve2(*parts), lambda i: solve2(a[i], b[i]), len(a))
     return np.stack((_StackParts.pack(*x0), _StackParts.pack(*x1)), axis=1)
 
 

@@ -20,7 +20,6 @@ what makes "first time near the maximum" well defined.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -273,7 +272,13 @@ def entanglement_blocks(eta: float, tau_max: float, step: float) -> Iterator[Ent
         values = kernels.ent_trace_grid(eta, step, n=min(_BLOCK_ROWS, n - lo), start=lo)
         return EntanglementTrace(eta=eta, step=step, values=values, start=lo)
 
-    return itertools.chain([block(0)], map(block, range(_BLOCK_ROWS, n, _BLOCK_ROWS)))
+    def blocks(first: EntanglementTrace) -> Iterator[EntanglementTrace]:
+        yield first
+        # let go of block 0 once it is drawn, as of every later block
+        del first
+        yield from map(block, range(_BLOCK_ROWS, n, _BLOCK_ROWS))
+
+    return blocks(block(0))
 
 
 def _conc2_floor(e: float) -> float:

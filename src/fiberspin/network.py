@@ -34,24 +34,23 @@ the parts core of numerics: every complex product, quotient and
 exponential is spelled out over (re, im) parts in CPython's own order,
 so a set gets the same bits alone as at any position in a stack, and
 the same bits as plain Python complex arithmetic. Float arithmetic
-overflows to inf or NaN without raising, so steady_fields, coupling
-and theta_variants check what they return, and D before the resonance
-test, and raise OutOfRange naming the first part or field that is not
-finite. A stack raises the error its first failing set would raise
-alone: a stack that fails is computed again set by set, in order, until
-one raises. A stack costs a fixed number of numpy calls whatever its
-length, so a caller with many sets should stack them rather than loop
-over them. One set makes no numpy call; a stack's numpy work, as
-numerics', is in fiberspin._arrays, which only a stack imports.
+overflows to inf or NaN without raising, so steady_fields, coupling,
+theta_variants and fluctuation_coefficients check what they take or
+return, and D before the resonance test, and raise OutOfRange naming
+the first part or field that is not finite. A stack raises the error
+its first failing set would raise alone (_arrays.first_alone). A stack
+costs a fixed number of numpy calls whatever its length, so a caller
+with many sets should stack them rather than loop over them. One set
+makes no numpy call; a stack's numpy work, as numerics', is in
+fiberspin._arrays, which only a stack imports.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import FiberspinError, NegativeLoss, OutOfRange, ResonantRecycling
+from .errors import NegativeLoss, OutOfRange, ResonantRecycling
 from .numerics import _mul, _parts_of, _solve2, _split, _sub, solve2
 
 TWOPI = 2.0 * math.pi
@@ -91,24 +90,30 @@ class NetworkParams:
         # an array of one or more dimensions has a nonzero ndim; a scalar, a
         # numpy scalar and a 0-d array give one set without importing numpy
         if any(isinstance(v, (list, tuple)) or getattr(v, "ndim", 0) for v in raw):
-            from ._arrays import network_fields
+            from ._arrays import first_alone, network_fields
 
             values = network_fields(names, raw)
+            first_alone(
+                lambda: _check_set(values), lambda i: _check_set([v.item(i) for v in values]), len(values[0])
+            )
         else:
             values = [complex(v) if name == "drive" else float(v) for name, v in zip(names, raw)]
-        gamma, delta, chi, drive, phi12, phi21, gamma_f = values
-        ops = _parts_of(gamma)
-        if ops.first(ops.nonfinite(gamma, delta, chi, *_split(drive), phi12, phi21, gamma_f)) is not None:
-            raise ValueError("non-finite network parameter")
-        bad = ops.first(gamma < 0.0, gamma)
-        if bad is not None:
-            raise ValueError(f"cavity decay rate must be >= 0, got {bad[0]!r}")
-        bad = ops.first(gamma_f < 0.0, gamma_f)
-        if bad is not None:
-            raise NegativeLoss(f"fiber loss exponent must be >= 0, got {bad[0]!r}")
-        values[4], values[5] = phi12 % TWOPI, phi21 % TWOPI
+            _check_set(values)
+        values[4], values[5] = values[4] % TWOPI, values[5] % TWOPI
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
+
+
+def _check_set(values) -> None:
+    """NetworkParams' checks on its field values in order, one set's floats or a stack's arrays."""
+    gamma, delta, chi, drive, phi12, phi21, gamma_f = values
+    ops = _parts_of(gamma)
+    if ops.fails(ops.nonfinite(gamma, delta, chi, *_split(drive), phi12, phi21, gamma_f)):
+        raise ValueError("non-finite network parameter")
+    if ops.fails(gamma < 0.0):
+        raise ValueError(f"cavity decay rate must be >= 0, got {gamma!r}")
+    if ops.fails(gamma_f < 0.0):
+        raise NegativeLoss(f"fiber loss exponent must be >= 0, got {gamma_f!r}")
 
 
 @dataclass(frozen=True)
@@ -176,53 +181,40 @@ def denominator(p: NetworkParams) -> complex:
     return ops.pack(*_sub(_mul(mu, mu), _mul((p.gamma * p.gamma, 0.0), loop)))
 
 
-def _one_set(p: NetworkParams, i: int) -> NetworkParams:
-    """Set i of the stack p, its stored values unchanged.
+def _one_set(x, i: int):
+    """Set i of a stacked NetworkParams or SteadyFields x, its stored values unchanged.
 
-    The constructor is bypassed: its phase reduction maps a stored phase
-    that rounded up to 2*pi to 0, so it would not give back set i's bits.
+    A field that is not an array is shared by every set. The constructor
+    is bypassed: its phase reduction maps a stored phase that rounded up
+    to 2*pi to 0, so it would not give back set i's bits.
     """
-    one = object.__new__(NetworkParams)
-    for f in fields(NetworkParams):
-        object.__setattr__(one, f.name, getattr(p, f.name)[i].item())
+    one = object.__new__(type(x))
+    for f in fields(x):
+        v = getattr(x, f.name)
+        object.__setattr__(one, f.name, v[i].item() if getattr(v, "ndim", 0) else v)
     return one
 
 
-def _quiet(p: NetworkParams):
-    """numpy's floating-point warnings off for a stack, as one set on floats overflows without one.
-
-    The finiteness checks refuse what overflowed.
-    """
+def _per_set(compute, p: NetworkParams, s: SteadyFields | None = None):
+    """compute(p), or compute(p, s); a stack raises what its first failing set raises alone."""
+    args = (p,) if s is None else (p, s)
     if isinstance(p.gamma, float):
-        return contextlib.nullcontext()
-    import numpy as np
+        return compute(*args)
+    from ._arrays import first_alone
 
-    return np.errstate(all="ignore")
-
-
-def _per_set(p: NetworkParams, compute):
-    """compute(p); a stack that fails raises what its first failing set raises alone."""
-    try:
-        with _quiet(p):
-            return compute(p)
-    except (FiberspinError, ArithmeticError, ValueError):
-        if isinstance(p.gamma, float):
-            raise
-        for i in range(len(p.gamma)):
-            compute(_one_set(p, i))
-        raise
+    return first_alone(lambda: compute(*args), lambda i: compute(*(_one_set(x, i) for x in args)), len(p.gamma))
 
 
 def _require_finite(ops, named) -> None:
-    """Raise OutOfRange naming the first value that is not finite, at the first set that has one.
-
-    named holds (name, value) pairs in the order they are checked.
-    """
-    values = [value for _, value in named]
-    bad = ops.first(ops.nonfinite(*values), *values)
-    if bad is not None:
-        name, value = next((name, v) for (name, _), v in zip(named, bad) if not math.isfinite(v))
+    """Raise OutOfRange naming the first of the (name, value) pairs named whose value is not finite."""
+    if ops.fails(ops.nonfinite(*(value for _, value in named))):
+        name, value = next((name, value) for name, value in named if not math.isfinite(value))
         raise OutOfRange(f"{name} is not finite, got {value!r}")
+
+
+def _parts_named(**pairs):
+    """(name_re, re) and (name_im, im) for each (re, im) pair, in order, for _require_finite."""
+    return [(f"{name}_{part}", z[k]) for name, z in pairs.items() for k, part in enumerate(("re", "im"))]
 
 
 def steady_fields(p: NetworkParams) -> SteadyFields:
@@ -237,7 +229,7 @@ def steady_fields(p: NetworkParams) -> SteadyFields:
     neighborhood of the recycling resonance where the fields diverge, and
     OutOfRange when a part of alpha or beta leaves the float range.
     """
-    return _per_set(p, _steady_fields)
+    return _per_set(_steady_fields, p)
 
 
 def _steady_fields(p: NetworkParams) -> SteadyFields:
@@ -252,11 +244,9 @@ def _steady(p: NetworkParams, d, hop21):
     mu = (p.gamma, p.delta)
     scale = p.gamma * p.gamma + p.delta * p.delta
     # past the float range |D| and its threshold are both inf: an overflow, not the resonance
-    _require_finite(ops, (("denominator_re", d[0]), ("denominator_im", d[1]), ("gamma^2+delta^2", scale)))
+    _require_finite(ops, [*_parts_named(denominator=d), ("gamma^2+delta^2", scale)])
     d_mod = ops.mod(d)
-    bad = ops.first(d_mod <= EPS_SINGULAR * scale, d_mod, scale)
-    if bad is not None:
-        d_mod, scale = bad
+    if ops.fails(d_mod <= EPS_SINGULAR * scale):
         raise ResonantRecycling(
             f"steady-state denominator |D| = {d_mod:.3e} <= {EPS_SINGULAR:.0e}*(gamma^2+delta^2)"
             f" = {EPS_SINGULAR * scale:.3e}; drive recycles resonantly as delta -> 0 with"
@@ -264,9 +254,7 @@ def _steady(p: NetworkParams, d, hop21):
         )
     alpha = ops.quot(_mul(_split(p.drive), mu), d)
     beta = ops.quot(_mul(_mul((p.gamma, 0.0), alpha), hop21), mu)
-    _require_finite(
-        ops, (("alpha_re", alpha[0]), ("alpha_im", alpha[1]), ("beta_re", beta[0]), ("beta_im", beta[1]))
-    )
+    _require_finite(ops, _parts_named(alpha=alpha, beta=beta))
     return alpha, beta
 
 
@@ -305,9 +293,19 @@ def fluctuation_coefficients(p: NetworkParams, s: SteadyFields) -> FluctuationCo
 
     for unit source vectors sz1 = 1 and sz2 = 1 via solve2, giving the
     decomposition a = c_a1*sz1 + c_a2*sz2, b = c_b1*sz1 + c_b2*sz2.
+
+    Raises OutOfRange naming the first part of alpha or beta, and then of
+    a coefficient, that is not finite; a stack raises what its first
+    failing set raises alone.
     """
+    return _per_set(_fluctuation_coefficients, p, s)
+
+
+def _fluctuation_coefficients(p: NetworkParams, s: SteadyFields) -> FluctuationCoefficients:
     ops = _parts_of(p.gamma)
+    _require_finite(ops, _parts_named(alpha=_split(s.alpha), beta=_split(s.beta)))
     c = _fluctuations(p, _split(s.alpha), _split(s.beta), _hop12(p), _hop21(p))
+    _require_finite(ops, _parts_named(**dict(zip(("c_a1", "c_a2", "c_b1", "c_b2"), c))))
     return FluctuationCoefficients(*(ops.pack(*z) for z in c))
 
 
@@ -365,8 +363,11 @@ def theta_variants(p: NetworkParams, s: SteadyFields) -> tuple[float, float]:
     Raises OutOfRange naming theta1 or theta2 when it leaves the float
     range; a stack raises what its first failing set raises alone.
     """
-    with _quiet(p):
-        t = _thetas(p, _split(s.alpha), _split(s.beta), _split(denominator(p)), _hop12(p), _hop21(p))
+    return _per_set(_theta_variants, p, s)
+
+
+def _theta_variants(p: NetworkParams, s: SteadyFields) -> tuple[float, float]:
+    t = _thetas(p, _split(s.alpha), _split(s.beta), _split(denominator(p)), _hop12(p), _hop21(p))
     _require_finite(_parts_of(p.gamma), (("theta1", t[0]), ("theta2", t[1])))
     return t
 
@@ -412,7 +413,7 @@ def coupling(p: NetworkParams) -> CouplingResult:
     range, checked in the order j_oracle, j_closed, j_single, theta1,
     theta2, local1, local2.
     """
-    return _per_set(p, _coupling)
+    return _per_set(_coupling, p)
 
 
 def _coupling(p: NetworkParams) -> CouplingResult:

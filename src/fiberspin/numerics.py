@@ -14,14 +14,16 @@ each element of an add, subtract or multiply exactly as float arithmetic
 does, so one expression gives a system the same bits alone as at any
 position in any stack, and the same bits as Python complex arithmetic.
 The few steps that need different code for floats and for arrays, among
-them the two-branch quotient, exp(x)*cis(phi), the modulus and the
-reduction behind each guard, are the primitives of _FloatParts and
-_StackParts: on floats they are CPython's own operations, on arrays the
-same libm calls and the same branches element by element. A modulus or
-square that leaves the float range reads inf in both. On floats the core
-makes no numpy call, because at size 2 a numpy operation costs far more
-in dispatch than in arithmetic; on a stack each step is one numpy call
-over every system. solve2 takes one (2, 2) system or an (n, 2, 2) stack.
+them the two-branch quotient, exp(x)*cis(phi) and the modulus, are the
+primitives of _FloatParts and _StackParts: on floats they are CPython's
+own operations, on arrays the same libm calls and the same branches
+element by element. A modulus or square that leaves the float range
+reads inf in both. A guard's error is built on floats only: on a stack,
+fails only detects that a system failed, and _arrays.first_alone finds
+the first that fails alone. On floats the core makes no numpy call,
+because at size 2 a numpy operation costs far more in dispatch than in
+arithmetic; on a stack each step is one numpy call over every system.
+solve2 takes one (2, 2) system or an (n, 2, 2) stack.
 
 eig_hermitian4 takes one (4, 4) matrix or an (n, 4, 4) stack and runs the
 same sweeps on the whole stack at once, so a self-check over a thousand
@@ -136,10 +138,8 @@ class _FloatParts:
     def max(*values):
         return max(values)
 
-    @staticmethod
-    def first(mask, *values):
-        """values if the system's guard mask is set, else None."""
-        return values if mask else None
+    #: whether the one system's mask is set; a guard that fails builds its error here, on floats
+    any = fails = staticmethod(bool)
 
     @staticmethod
     def pack(re, im):
@@ -158,13 +158,13 @@ def _parts_of(x):
 def _solve2(a00, a01, a10, a11, b0, b1):
     """Cramer's rule on (re, im) pairs, for one system or a stack; see solve2.
 
-    Every guard and the rescaling apply to each system on its own, so a
-    system gets the same result, or raises the same error, alone as
-    anywhere in a stack.
+    The rescaling applies to each system on its own, so a system gets the
+    same result alone as anywhere in a stack. On a stack a guard only
+    detects a failure; _arrays.solve2 finds the error to raise.
     """
     ops = _parts_of(a00[0])
     m_parts = (*a00, *a01, *a10, *a11)
-    if ops.first(ops.nonfinite(*m_parts, *b0, *b1)) is not None:
+    if ops.fails(ops.nonfinite(*m_parts, *b0, *b1)):
         raise ValueError("non-finite entries in linear system")
     # a modulus beyond the float range reads inf, which only the rescaled
     # path can cope with
@@ -173,7 +173,7 @@ def _solve2(a00, a01, a10, a11, b0, b1):
     lo, hi = _SOLVE2_SAFE_LO, _SOLVE2_SAFE_HI
     outside = (scale <= lo) | (scale >= hi) | ((rhs_scale != 0.0) & ((rhs_scale <= lo) | (rhs_scale >= hi)))
     ea = eb = 0
-    if ops.first(outside) is not None:
+    if ops.any(outside):
         # the largest parts of m*2**-ea and rhs*2**-eb lie in [0.5, 1);
         # scaling by powers of two commutes with every rounding below, so
         # the scaled solution times 2**(eb - ea) has the bits a run without
@@ -186,9 +186,7 @@ def _solve2(a00, a01, a10, a11, b0, b1):
         scale = ops.max(ops.mod(a00), ops.mod(a01), ops.mod(a10), ops.mod(a11))
     det = _sub(_mul(a00, a11), _mul(a01, a10))
     det_mod = ops.mod(det)
-    bad = ops.first(det_mod <= SOLVE2_EPS * scale * scale, det_mod, scale, ea)
-    if bad is not None:
-        det_mod, scale, ea = bad
+    if ops.fails(det_mod <= SOLVE2_EPS * scale * scale):
         raise SingularSystem(
             f"|det| = {det_mod:.3e} <= {SOLVE2_EPS:.0e} * {scale * scale:.3e}"
             + (f" after scaling m by 2**{-ea}" if ea else "")

@@ -929,6 +929,20 @@ def test_the_tracer_sees_every_traced_function_and_counts_kernel_points(tmp_path
     assert (code, stats["code"], stats["missing"]) == (0, 0, [])
     # tau_star's three one-block kernel calls
     assert stats["counts"]["kernels.ent_trace_grid"] == 3 * kernels.BLOCK
+    # the self-check workload needs numerics.solve2 spans, so network stacks
+    # must call the public solve2
+    code, stats = _traced(tmp_path, "validate", "--seed", "7")
+    assert (code, stats["code"], stats["missing"]) == (0, 0, [])
+    calls = {}
+    for name, _, n, _, _ in stats["spans"]:
+        calls[name] = calls.get(name, 0) + n
+    wanted = {
+        "numerics.solve2": 40,
+        "network.coupling": 20,
+        "numerics.eig_hermitian4": 18,
+        "network.denominator": 40,
+    }
+    assert {name: calls.get(name) for name in wanted} == wanted
 
 
 def test_emit_keeps_order_with_earlier_prints_on_every_stdout(capsys):

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -341,6 +342,14 @@ def test_blocks_refuse_the_whole_grid_before_returning(monkeypatch):
     made.clear()
     entanglement_trace(0.1, 400.0, 0.01)
     assert made == [0, _BLOCK_ROWS, 2 * _BLOCK_ROWS]
+
+
+def test_blocks_are_not_held_once_drawn():
+    # the iterator keeps no block alive after handing it out, block 0 included,
+    # so a caller that writes each block and drops it holds one block at most
+    blocks = entanglement_blocks(0.1, 1000.0, 0.01)
+    alive = [weakref.ref(next(blocks)) for _ in range(3)]
+    assert [ref() is not None for ref in alive] == [False, False, False]
 
 
 def test_small_eta_stays_unentangled():

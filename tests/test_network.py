@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 from dataclasses import astuple
+import functools
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 from fiberspin import network
 from fiberspin import (
+    FiberspinError,
     NegativeLoss,
     NetworkParams,
     OutOfRange,
     ResonantRecycling,
+    SteadyFields,
     apply_fiber_loss,
     coupling,
     coupling_largedelta_lossy,
@@ -29,6 +32,7 @@ from fiberspin import (
 )
 from fiberspin.numerics import solve2
 from fiberspin.validate import sample_params
+from test_numerics import _BAD_SYSTEMS, _system_pool
 
 SYM = dict(gamma=1.0, delta=1.0, chi=0.1, drive=10.0, phi12=math.pi / 4, phi21=math.pi / 4)
 ASYM = dict(gamma=1.0, delta=0.5, chi=0.1, drive=1.0, phi12=0.3, phi21=0.9)
@@ -295,7 +299,7 @@ def test_stack_raises_what_its_bad_set_raises_alone(case, unstack):
             assert str(stacked.value) == str(alone.value)
 
 
-def test_results_beyond_the_float_range_are_refused():
+def test_results_beyond_the_float_range_are_refused(monkeypatch):
     # one set on floats overflows silently; coupling and steady_fields name
     # the first value that is not finite, in the order the CLI prints them
     for drive in (1e160, 1e300):
@@ -307,28 +311,149 @@ def test_results_beyond_the_float_range_are_refused():
     for f in (coupling, steady_fields):
         with pytest.raises(OutOfRange, match=r"^alpha_re is not finite, got inf$"):
             f(p)
+    # fluctuation_coefficients names its fields, then its coefficients, where
+    # solve2 would refuse bare entries
+    p = NetworkParams(**SYM)
+    refused = {
+        "alpha_re": SteadyFields(complex(math.inf, 0.0), 0j),
+        "beta_im": SteadyFields(0j, complex(0.0, math.nan)),
+    }
+    for name, s in refused.items():
+        with pytest.raises(OutOfRange, match=rf"^{name} is not finite, got (inf|nan)$"):
+            fluctuation_coefficients(p, s)
+    # solve2 raises OverflowError before a coefficient can leave the float
+    # range, so the coefficient check is reached only through a stub
+    s = steady_fields(p)
+    coefficients = ((0.0, 0.0), (0.0, math.inf), (0.0, 0.0), (0.0, 0.0))
+    monkeypatch.setattr(network, "_fluctuations", lambda *args: coefficients)
+    with pytest.raises(OutOfRange, match=r"^c_a2_im is not finite, got inf$"):
+        fluctuation_coefficients(p, s)
 
 
-def _error(f, p):
-    """(type, message) of what f(p) raises, or None."""
+def _error(f, *args):
+    """(type, message) of what f(*args) raises, or None."""
     try:
-        f(p)
-    except (OutOfRange, ResonantRecycling) as exc:
+        f(*args)
+    except (FiberspinError, ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
     return None
 
 
-@pytest.mark.parametrize("first, second", [("j_oracle overflows", "recycling"), ("recycling", "alpha overflows")])
+#: bad members for the routes that take steady fields too: (parameters, fields)
+_BAD_FIELDS = {
+    "D is zero": (_BAD_SETS["recycling"], SteadyFields(complex(1.0, 1.0), complex(1.0, -1.0))),
+    "thetas overflow": (SYM, SteadyFields(complex(1e300, 1e300), complex(1e300, 1e300))),
+    "beta is not finite": (SYM, SteadyFields(complex(1.0, 1.0), complex(math.inf, 0.0))),
+}
+
+
+def _on_params(f):
+    """f on the NetworkParams a member's keyword arguments build, and on the member's other arguments."""
+    return lambda kw, *rest: f(NetworkParams(**kw), *rest)
+
+
+def _kwargs(p):
+    return {f.name: getattr(p, f.name) for f in dataclasses.fields(NetworkParams)}
+
+
+def _members(table, good):
+    """The routes that take table's members, with the bad ones each takes; good members; a bad one by name.
+
+    A member is a tuple of arguments: keyword arguments of NetworkParams,
+    with fields for the routes that take them, or a system and its
+    right-hand side for solve2. good holds NetworkParams. steady_fields
+    and coupling take a NetworkParams, so only the bad sets that build one.
+    """
+    if table is _BAD_SYSTEMS:
+        m, b = _system_pool(len(good), 37)
+        return [(solve2, sorted(table))], list(zip(m, b)), lambda name: _BAD_SYSTEMS[name]
+    if table is _BAD_SETS:
+        built = sorted(k for k in table if _error(lambda kw: NetworkParams(**kw), table[k]) is None)
+        routes = [(_on_params(lambda p: p), sorted(table))]
+        routes += [(_on_params(f), built) for f in (steady_fields, coupling)]
+        return routes, [(_kwargs(p),) for p in good], lambda name: ({"gamma_f": 0.0, **_BAD_SETS[name]},)
+    routes = [(_on_params(theta_variants), sorted(table)), (_on_params(fluctuation_coefficients), sorted(table))]
+    members = [(_kwargs(p), steady_fields(p)) for p in good]
+    return routes, members, lambda name: ({"gamma_f": 0.0, **_BAD_FIELDS[name][0]}, _BAD_FIELDS[name][1])
+
+
+def _stacked(members):
+    """The arguments that stack the members, in order, argument by argument."""
+
+    def column(values):
+        if isinstance(values[0], dict):
+            return {k: np.array([v[k] for v in values]) for k in values[0]}
+        if isinstance(values[0], SteadyFields):
+            return SteadyFields(np.array([v.alpha for v in values]), np.array([v.beta for v in values]))
+        return np.array(values)
+
+    return tuple(column(list(args)) for args in zip(*members))
+
+
+def _leaves(result):
+    """The arrays or numbers of a route's result, as a list."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, tuple):
+        return list(result)
+    return [getattr(result, f.name) for f in dataclasses.fields(result)]
+
+
+def _check_stack(f, members):
+    """The stack raises what its first failing member raises alone, or gives each member's bits."""
+    alone = next((err for err in (_error(f, *m) for m in members) if err is not None), None)
+    stack = _stacked(members)
+    assert _error(f, *stack) == alone, f
+    if alone is None:
+        want = [_leaves(f(*m)) for m in members]
+        for k, got in enumerate(_leaves(f(*stack))):
+            assert np.array_equal(_bits(got), _bits(np.array([w[k] for w in want]))), (f, k)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("j_oracle overflows", "recycling"),
+        ("recycling", "alpha overflows"),
+        # NetworkParams' guards
+        ("negative gamma_f", "negative gamma"),
+        # solve2's guards, and its overflow past them
+        ("singular", "non-finite matrix"),
+        ("solution overflows", "singular"),
+        # theta_variants and fluctuation_coefficients
+        ("D is zero", "thetas overflow"),
+        ("beta is not finite", "D is zero"),
+    ],
+)
 def test_stack_raises_the_error_of_its_first_failing_set(first, second, unstack):
-    # two bad sets that fail at different steps, the later set at the
-    # earlier step: the stack raises what its first failing set raises alone
-    pool = _set_pool(unstack)[:9]
-    sets = pool[:3] + [NetworkParams(**_BAD_SETS[first])] + pool[3:6] + [NetworkParams(**_BAD_SETS[second])] + pool[6:]
-    names = [f.name for f in dataclasses.fields(NetworkParams)]
-    stack = NetworkParams(**{name: np.array([getattr(q, name) for q in sets]) for name in names})
-    for f in (coupling, steady_fields):
-        alone = next(err for err in (_error(f, q) for q in sets) if err is not None)
-        assert _error(f, stack) == alone, f
+    # two bad members that fail at different steps, the later one at the
+    # earlier step: the stack raises what its first failing member raises alone
+    table = next(t for t in (_BAD_SETS, _BAD_SYSTEMS, _BAD_FIELDS) if first in t and second in t)
+    routes, good, bad = _members(table, _set_pool(unstack)[:9])
+    members = good[:3] + [bad(first)] + good[3:6] + [bad(second)] + good[6:]
+    for f, _ in routes:
+        _check_stack(f, members)
+
+
+@functools.cache
+def _property_pool():
+    """64 good parameter sets: the two presets and sampled sets."""
+    stack = sample_params(np.random.default_rng(59), 62)
+    return [NetworkParams(**SYM), NetworkParams(**ASYM)] + [network._one_set(stack, i) for i in range(62)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_stack_raises_what_its_first_failing_member_raises_alone(data):
+    # 1 to 64 good members with 0 to 3 bad ones at random positions, on
+    # solve2, NetworkParams, steady_fields and coupling
+    table = data.draw(st.sampled_from([_BAD_SYSTEMS, _BAD_SETS]))
+    routes, good, bad = _members(table, _property_pool()[: data.draw(st.integers(1, 64))])
+    f, names = data.draw(st.sampled_from(routes))
+    members = list(good)
+    for name in data.draw(st.lists(st.sampled_from(names), max_size=3)):
+        members.insert(data.draw(st.integers(0, len(members))), bad(name))
+    _check_stack(f, members)
 
 
 @pytest.mark.parametrize("case", ["gamma squared overflows", "delta squared overflows"])
@@ -358,6 +483,10 @@ def test_theta_variants_refuses_fields_beyond_the_float_range():
     with pytest.raises(OutOfRange) as alone:
         theta_variants(p, huge)
     assert str(stacked.value) == str(alone.value)
+    # a stack of sets with one set of fields, shared by every set
+    with pytest.raises(OutOfRange) as shared:
+        theta_variants(_stack([p, p]), huge)
+    assert str(shared.value) == str(alone.value)
 
 
 def test_params_stack_broadcasts_scalars_and_refuses_ragged_input():

@@ -15,6 +15,7 @@ from fiberspin import (
     propagate,
     solve2,
 )
+from fiberspin import _arrays
 
 
 def test_solve2_hand_check():
@@ -175,6 +176,19 @@ def test_solve2_stack_raises_what_its_bad_system_raises_alone(case):
             with pytest.raises(alone.type) as stacked:
                 solve2(stack_m, stack_b)
             assert str(stacked.value) == str(alone.value)
+
+
+def test_a_stack_that_fails_while_every_member_passes_alone_says_so():
+    # the stack and its members disagree on bits: a bug, reported as such
+    # rather than as the private exception a stack guard raises
+    def stack():
+        _arrays._StackParts.fails(np.array([False, True, False]))
+
+    members = []
+    with pytest.raises(RuntimeError, match=r"^a stack of 3 failed but no member fails alone") as caught:
+        _arrays.first_alone(stack, members.append, 3)
+    assert members == [0, 1, 2]
+    assert isinstance(caught.value.__cause__, _arrays._StackFailed)
 
 
 def test_solve2_stack_shape_guards():
