@@ -1,3 +1,5 @@
-from .cli import main
+"""`python -m fiberspin`: the same process entry point as the installed `fiberspin` script, cli.run."""
 
-raise SystemExit(main())
+from .cli import run
+
+run()

@@ -25,18 +25,26 @@ every subcommand's rows as bytes, to the --out file or to
 sys.stdout.buffer, and says what must run before it so that a refused
 run writes nothing.
 
-This module imports only the scalar modules, errors, feasibility,
-network and numerics, none of which imports numpy. So steady, coupling
-and feasibility, --help and a usage error never import numpy. What
-needs arrays is imported where it is first used: entanglement, validate
-and numpy by cmd_evolve, cmd_taustar and cmd_validate, and the block
-formatter fiberspin._blocks by cmd_evolve.
+At load this module imports only _seed, errors and feasibility, none of
+which imports numpy. Everything else is imported where it is first used:
+network by the steady and coupling handlers, so evolve and taustar never
+load it; entanglement, validate and numpy by cmd_evolve, cmd_taustar and
+cmd_validate; and the block formatter fiberspin._blocks by cmd_evolve.
+So steady, coupling and feasibility, --help and a usage error never
+import numpy.
 
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
 3 self-check failure; each FiberspinError class carries its own as
 exit_code. Every failure writes one line `error: <code>: <message>` to
 stderr and keeps the data stream clean, except a reader closing stdout
 early, which ends the run with exit code 1 and no message.
+
+main(argv) returns the exit code and changes nothing process-wide, so
+tests and library callers run it in-process. run() is the process entry
+point, of the installed `fiberspin` script and of `python -m fiberspin`:
+it calls main(), freezes the collector's objects and exits, so the
+interpreter's shutdown collection does not traverse every module it
+tears down.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import itertools
 import math
 import operator
@@ -53,6 +62,7 @@ import sys
 import types
 from collections.abc import Iterable
 from pathlib import Path
+from typing import TYPE_CHECKING, NoReturn
 
 from ._seed import DEFAULT_SEED
 from .errors import FiberspinError, OutOfRange, ValidationFailure
@@ -67,7 +77,9 @@ from .feasibility import (
     j_estimate,
     lossy_coupling_report,
 )
-from .network import NetworkParams, coupling, denominator, steady_fields, validate_regime
+
+if TYPE_CHECKING:
+    from .network import NetworkParams
 
 
 class _CliUsage(Exception):
@@ -278,6 +290,8 @@ def _resolve(args) -> dict:
 
 
 def _network_params(args) -> NetworkParams:
+    from .network import NetworkParams
+
     cfg = _resolve(args)
     return NetworkParams(
         gamma=cfg["gamma"],
@@ -307,6 +321,8 @@ def _report(pairs: Iterable[tuple[str, float]], notes: Iterable[str], args) -> N
 
 
 def cmd_steady(args) -> None:
+    from .network import denominator, steady_fields, validate_regime
+
     p = _network_params(args)
     s = steady_fields(p)
     d = denominator(p)
@@ -325,6 +341,8 @@ def cmd_steady(args) -> None:
 
 
 def cmd_coupling(args) -> None:
+    from .network import coupling
+
     p = _network_params(args)
     r = coupling(p)
     pairs = [
@@ -501,5 +519,21 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Run main() on sys.argv and exit the process with its code.
+
+    Before it exits, gc.freeze() moves every tracked object into the
+    permanent generation, so the shutdown collection, which runs even
+    with the collector disabled, finds nothing to traverse; after a run
+    that imported numpy, that traversal was most of the teardown. The
+    collector stays on while main() works, so memory stays bounded, and
+    the exit is a SystemExit, so atexit handlers and the flush of stdout
+    and stderr still run.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

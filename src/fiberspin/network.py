@@ -242,6 +242,16 @@ def _steady(p: NetworkParams, d, hop21):
     """(alpha, beta) of steady_fields, given the parts of D and of the 2 -> 1 fiber factor."""
     ops = _parts_of(p.gamma)
     mu = (p.gamma, p.delta)
+    _require_off_resonance(p, d)
+    alpha = ops.quot(_mul(_split(p.drive), mu), d)
+    beta = ops.quot(_mul(_mul((p.gamma, 0.0), alpha), hop21), mu)
+    _require_finite(ops, _parts_named(alpha=alpha, beta=beta))
+    return alpha, beta
+
+
+def _require_off_resonance(p: NetworkParams, d) -> None:
+    """Refuse the parts d of D before anything divides by it: OutOfRange, then ResonantRecycling."""
+    ops = _parts_of(p.gamma)
     scale = p.gamma * p.gamma + p.delta * p.delta
     # past the float range |D| and its threshold are both inf: an overflow, not the resonance
     _require_finite(ops, [*_parts_named(denominator=d), ("gamma^2+delta^2", scale)])
@@ -252,10 +262,6 @@ def _steady(p: NetworkParams, d, hop21):
             f" = {EPS_SINGULAR * scale:.3e}; drive recycles resonantly as delta -> 0 with"
             f" phi12+phi21 -> 0 (mod 2*pi)"
         )
-    alpha = ops.quot(_mul(_split(p.drive), mu), d)
-    beta = ops.quot(_mul(_mul((p.gamma, 0.0), alpha), hop21), mu)
-    _require_finite(ops, _parts_named(alpha=alpha, beta=beta))
-    return alpha, beta
 
 
 def validate_regime(p: NetworkParams, s: SteadyFields) -> list[str]:
@@ -294,9 +300,9 @@ def fluctuation_coefficients(p: NetworkParams, s: SteadyFields) -> FluctuationCo
     for unit source vectors sz1 = 1 and sz2 = 1 via solve2, giving the
     decomposition a = c_a1*sz1 + c_a2*sz2, b = c_b1*sz1 + c_b2*sz2.
 
-    Raises OutOfRange naming the first part of alpha or beta, and then of
-    a coefficient, that is not finite; a stack raises what its first
-    failing set raises alone.
+    Raises OutOfRange naming the first part of alpha or beta, then of the
+    sources -i*chi*alpha and -i*chi*beta, and then of a coefficient, that
+    is not finite; a stack raises what its first failing set raises alone.
     """
     return _per_set(_fluctuation_coefficients, p, s)
 
@@ -325,9 +331,12 @@ def _fluctuations(p: NetworkParams, alpha, beta, hop12, hop21):
     m = (mu, _mul((-p.gamma, 0.0), hop12), _mul((-p.gamma, 0.0), hop21), mu)
     # -1j * chi, as Python forms it: (-0.0 - 1j) * (chi + 0j)
     k = _mul((-0.0, -1.0), (p.chi, 0.0))
+    source_alpha, source_beta = _mul(k, alpha), _mul(k, beta)
+    # finite fields can still give a source past the float range, which solve2 would refuse bare
+    _require_finite(_parts_of(p.gamma), _parts_named(source_alpha=source_alpha, source_beta=source_beta))
     zero = (0.0, 0.0)
-    a1, b1 = _solve(m, (_mul(k, alpha), zero))
-    a2, b2 = _solve(m, (zero, _mul(k, beta)))
+    a1, b1 = _solve(m, (source_alpha, zero))
+    a2, b2 = _solve(m, (zero, source_beta))
     return a1, a2, b1, b2
 
 
@@ -360,14 +369,18 @@ def theta_variants(p: NetworkParams, s: SteadyFields) -> tuple[float, float]:
     between them is assumed; they coincide only on the symmetric
     manifold (see module docstring).
 
-    Raises OutOfRange naming theta1 or theta2 when it leaves the float
-    range; a stack raises what its first failing set raises alone.
+    Refuses D as steady_fields does, with OutOfRange or ResonantRecycling,
+    before it divides by D. Raises OutOfRange naming theta1 or theta2
+    when it leaves the float range; a stack raises what its first
+    failing set raises alone.
     """
     return _per_set(_theta_variants, p, s)
 
 
 def _theta_variants(p: NetworkParams, s: SteadyFields) -> tuple[float, float]:
-    t = _thetas(p, _split(s.alpha), _split(s.beta), _split(denominator(p)), _hop12(p), _hop21(p))
+    d = _split(denominator(p))
+    _require_off_resonance(p, d)
+    t = _thetas(p, _split(s.alpha), _split(s.beta), d, _hop12(p), _hop21(p))
     _require_finite(_parts_of(p.gamma), (("theta1", t[0]), ("theta2", t[1])))
     return t
 
@@ -409,9 +422,9 @@ def coupling(p: NetworkParams) -> CouplingResult:
     calls as for one set.
 
     Raises ResonantRecycling as steady_fields does, and OutOfRange when a
-    part of the steady fields or a field of the result leaves the float
-    range, checked in the order j_oracle, j_closed, j_single, theta1,
-    theta2, local1, local2.
+    part of the steady fields, of a fluctuation source or a field of the
+    result leaves the float range, the result checked in the order
+    j_oracle, j_closed, j_single, theta1, theta2, local1, local2.
     """
     return _per_set(_coupling, p)
 

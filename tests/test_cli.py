@@ -2,7 +2,9 @@
 
 import argparse
 import contextlib
+import gc
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -663,6 +665,10 @@ def test_feasibility_refuses_a_non_finite_chi(chi, capsys):
         # the library returns these without complaint; they used to reach fmt9
         (("coupling", "--drive-re", "1e300"), "error: out-of-range: j_oracle is not finite, got -inf\n"),
         (
+            ("coupling", "--chi", "1e10", "--drive-re", "1e300"),
+            "error: out-of-range: source_alpha_re is not finite, got -inf\n",
+        ),
+        (
             ("steady", "--drive-re", "1.7e308", "--drive-im", "1.7e308"),
             "error: out-of-range: alpha_re is not finite, got inf\n",
         ),
@@ -672,7 +678,7 @@ def test_feasibility_refuses_a_non_finite_chi(chi, capsys):
             "error: out-of-range: loss exponent of 1e+308 dB/km over 10.0 km overflows\n",
         ),
     ],
-    ids=["coupling", "steady", "feasibility-chi", "feasibility-loss"],
+    ids=["coupling", "coupling-source", "steady", "feasibility-chi", "feasibility-loss"],
 )
 def test_a_non_finite_result_is_refused_before_printing(argv, err, capsys, tmp_path):
     assert main(list(argv)) == 1
@@ -875,6 +881,66 @@ def test_golden_cli_transcripts(capsys):
         assert main(list(argv)) == 0, argv
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (expected, ""), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evolve", "--tau-max", "1", "--step", "0.1"),
+        ("taustar", "--etas", "0.4", "--window", "10"),
+        ("validate", "--seed", "7"),
+    ],
+)
+def test_main_in_process_leaves_the_collector_as_it_found_it(argv, capsys):
+    # only the process entry point, run(), freezes the collector's objects
+    frozen = gc.get_freeze_count()
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().err == ""
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def _console_script_target():
+    """The function that pyproject.toml's `fiberspin` script names, as (module, attribute)."""
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from Python 3.11")
+    with open(_REPO / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["fiberspin"]
+    module, _, attr = target.partition(":")
+    return module, attr
+
+
+def test_the_console_script_target_is_what_python_m_runs(monkeypatch):
+    module, attr = _console_script_target()
+    assert getattr(importlib.import_module(module), attr) is cli_module.run
+    # importing fiberspin.__main__ runs what `python -m fiberspin` runs
+    calls = []
+    monkeypatch.setattr(cli_module, "run", lambda: calls.append("run"))
+    monkeypatch.delitem(sys.modules, "fiberspin.__main__", raising=False)
+    importlib.import_module("fiberspin.__main__")
+    del sys.modules["fiberspin.__main__"]
+    assert calls == ["run"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("steady", "--preset", "example-sym"), 0), (("steady", "--gamma", "-1"), 1), (("validate", "--seed", "7"), 0)],
+)
+def test_the_console_script_matches_python_m(argv, code):
+    # the script setuptools installs imports the target and exits with what it returns
+    module, attr = _console_script_target()
+    script = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+    by_script, by_module = (
+        subprocess.run([sys.executable, "-W", "error", *how, *argv], capture_output=True)
+        for how in (("-c", script), ("-m", "fiberspin"))
+    )
+    assert (by_script.returncode, by_script.stdout, by_script.stderr) == (
+        by_module.returncode,
+        by_module.stdout,
+        by_module.stderr,
+    )
+    assert by_script.returncode == code
+    if argv in GOLDEN_TRANSCRIPTS:
+        assert by_script.stdout.decode("utf-8") == GOLDEN_TRANSCRIPTS[argv]
 
 
 #: sha256 of the stdout of runs shaped like the benchmark's workloads; the

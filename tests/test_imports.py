@@ -176,6 +176,19 @@ def test_usage_errors_and_help_of_array_subcommands_never_import_numpy(command):
         assert "numpy" not in modules and "concurrent.futures" not in modules, args
 
 
+@pytest.mark.parametrize(
+    "argv, imports_network",
+    [
+        (("evolve", "--tau-max", "1", "--step", "0.1"), False),
+        (("taustar", "--etas", "0.4", "--window", "10"), False),
+        (("steady",), True),
+        (("validate", "--seed", "7"), True),
+    ],
+)
+def test_only_the_subcommands_that_use_network_import_it(argv, imports_network):
+    assert ("fiberspin.network" in _imports("-m", "fiberspin", *argv)) == imports_network
+
+
 def test_no_taustar_run_imports_the_thread_pool():
     evolve = _imports("-m", "fiberspin", "evolve", "--tau-max", "1", "--step", "0.1")
     one_eta = _imports("-m", "fiberspin", "taustar", "--etas", "0.4", "--window", "10")

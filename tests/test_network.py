@@ -279,6 +279,7 @@ _BAD_SETS = {
     "alpha overflows": dict(SYM, drive=complex(1.7e308, 1.7e308)),
     "gamma squared overflows": dict(SYM, gamma=1e200),
     "delta squared overflows": dict(SYM, delta=1e170),
+    "source overflows": dict(SYM, chi=1e10, drive=1e300),
 }
 
 
@@ -487,6 +488,37 @@ def test_theta_variants_refuses_fields_beyond_the_float_range():
     with pytest.raises(OutOfRange) as shared:
         theta_variants(_stack([p, p]), huge)
     assert str(shared.value) == str(alone.value)
+
+
+def test_theta_variants_refuses_the_resonance_as_steady_fields_does():
+    # at D = 0 the thetas' quotient would divide by zero; D is refused first
+    p = NetworkParams(**_BAD_SETS["recycling"])
+    s = SteadyFields(1.0, 1.0)
+    with pytest.raises(ResonantRecycling) as thetas:
+        theta_variants(p, s)
+    with pytest.raises(ResonantRecycling) as fields:
+        steady_fields(p)
+    assert str(thetas.value) == str(fields.value)
+    # a stack raises what its first failing set raises alone
+    good = NetworkParams(**SYM)
+    g = steady_fields(good)
+    stack = SteadyFields(np.array([g.alpha, 1.0, g.alpha]), np.array([g.beta, 1.0, g.beta]))
+    assert _error(theta_variants, _stack([good, p, good]), stack) == _error(theta_variants, p, s)
+
+
+def test_an_overflowing_fluctuation_source_is_out_of_range():
+    # finite fields whose source -i*chi*alpha or -i*chi*beta overflows are
+    # refused by name, where solve2 would refuse bare non-finite entries
+    p = NetworkParams(**_BAD_SETS["source overflows"])
+    s = steady_fields(p)
+    assert all(math.isfinite(v) for v in (s.alpha.real, s.alpha.imag, s.beta.real, s.beta.imag))
+    for f, args in ((coupling, (p,)), (fluctuation_coefficients, (p, s))):
+        with pytest.raises(OutOfRange, match=r"^source_alpha_re is not finite, got -inf$"):
+            f(*args)
+    with pytest.raises(OutOfRange, match=r"^source_beta_im is not finite, got -inf$"):
+        fluctuation_coefficients(p, SteadyFields(1.0, 1e300))
+    stack = SteadyFields(np.array([1.0, s.alpha]), np.array([1.0, s.beta]))
+    assert _error(fluctuation_coefficients, _stack([p, p]), stack) == _error(fluctuation_coefficients, p, s)
 
 
 def test_params_stack_broadcasts_scalars_and_refuses_ragged_input():
