@@ -9,6 +9,9 @@ loads with it, once, and never for a float-only run. The public routines
 and their docstrings stay in numerics; their bodies are here. first_alone
 is the one place that makes a stack raise what its first failing member
 raises alone; a stack guard, _StackParts.fails, only detects a failure.
+Every refusal a member can raise is a FiberspinError, so first_alone
+replays the members on that or a tripped guard only, and any other
+exception from a stack is a bug that propagates as it is.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from . import numerics
-from .errors import FiberspinError, NotHermitian, NotNormalized
+from .errors import FiberspinError, NotHermitian, NotNormalized, OutOfRange
 from .numerics import HERMITIAN_TOL, NORM_TOL, HermEig4, _solve2, _split
 
 _JACOBI_MAX_SWEEPS = 30
@@ -39,7 +42,7 @@ def first_alone(compute, member, n: int):
         # one member on floats overflows silently, and the guards refuse what overflowed
         with np.errstate(all="ignore"):
             return compute()
-    except (FiberspinError, ArithmeticError, ValueError, _StackFailed) as exc:
+    except (FiberspinError, _StackFailed) as exc:
         for i in range(n):
             member(i)
         raise RuntimeError(f"a stack of {n} failed but no member fails alone: they disagree on bits") from exc
@@ -92,7 +95,7 @@ class _StackParts:
     @staticmethod
     def ldexp(z, k):
         out = np.ldexp(z[0], k), np.ldexp(z[1], k)
-        # a finite part that leaves the float range, where math.ldexp raises
+        # a finite part that leaves the float range, where _FloatParts.ldexp raises OutOfRange
         _StackParts.fails(np.isinf(out) & np.isfinite(z))
         return out
 
@@ -164,7 +167,7 @@ def _check_hermitian(h) -> np.ndarray:
     if a.shape[-2:] != (4, 4) or a.ndim not in (2, 3):
         raise ValueError(f"expected shape (4, 4) or (n, 4, 4), got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite matrix entries")
+        raise OutOfRange("non-finite matrix entries")
     # relative to the largest entry of each matrix at every scale, so a
     # matrix of small entries gets no absolute allowance and the zero
     # matrix must be exact
@@ -276,7 +279,7 @@ def eig_hermitian4(h) -> HermEig4:
         order = np.argsort(diagonal, axis=1, kind="stable")
         values = np.ldexp(np.take_along_axis(diagonal, order, axis=1), e[:, :, 0])
     if not np.all(np.isfinite(values)):
-        raise OverflowError("an eigenvalue exceeds the float range")
+        raise OutOfRange("an eigenvalue exceeds the float range")
     vectors = np.empty((n, 4, 4), dtype=np.complex128)
     vectors.real = np.take_along_axis(done[0, 4:].transpose(2, 0, 1), order[:, None, :], axis=2)
     vectors.imag = np.take_along_axis(done[1, 4:].transpose(2, 0, 1), order[:, None, :], axis=2)
@@ -295,7 +298,7 @@ def propagate(h, t, psi0) -> np.ndarray:
     if times.ndim > 1:
         raise ValueError(f"expected a time or a 1-d array of times, got shape {times.shape}")
     if not np.all(np.isfinite(times)):
-        raise ValueError("time must be finite")
+        raise OutOfRange("time must be finite")
     psi = np.asarray(psi0, dtype=np.complex128)
     if psi.shape != (4,):
         raise ValueError(f"expected state shape (4,), got {psi.shape}")

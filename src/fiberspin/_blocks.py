@@ -45,6 +45,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import cli
+from .errors import OutOfRange
 
 #: rows a Formatter renders per pass; its arrays take about 0.2 kB a cell,
 #: 1.6 MB for two columns
@@ -143,10 +144,10 @@ class Formatter:
             yield b"\n"
 
     def block(self, columns) -> Iterator[memoryview]:
-        """The rows of equal-length columns, a pass's bytes at a time; non-finite values raise ValueError."""
+        """The rows of equal-length columns, a pass's bytes at a time; non-finite values raise OutOfRange."""
         columns = [np.asarray(c, dtype=np.float64) for c in columns]
         if not all(np.all(np.isfinite(c)) for c in columns):
-            raise ValueError("refusing to format a non-finite number")
+            raise OutOfRange("refusing to format a non-finite number")
         for i in range(0, max(map(len, columns), default=0), _PASS_ROWS):
             yield self._pass([c[i : i + _PASS_ROWS] for c in columns])
 

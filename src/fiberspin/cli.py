@@ -34,10 +34,12 @@ So steady, coupling and feasibility, --help and a usage error never
 import numpy.
 
 Exit codes: 0 ok, 1 usage or domain error, 2 recycling singularity,
-3 self-check failure; each FiberspinError class carries its own as
-exit_code. Every failure writes one line `error: <code>: <message>` to
-stderr and keeps the data stream clean, except a reader closing stdout
-early, which ends the run with exit code 1 and no message.
+3 self-check failure. Every refusal is a FiberspinError, usage errors
+included (_CliUsage, code "usage"), and its class carries both its code
+and its exit_code. Every failure writes one line `error: <code>: <message>`
+to stderr and keeps the data stream clean, except a reader closing stdout
+early, which ends the run with exit code 1 and no message. Any other
+exception is a bug, and main lets it propagate as a traceback.
 
 main(argv) returns the exit code and changes nothing process-wide, so
 tests and library callers run it in-process. run() is the process entry
@@ -82,8 +84,10 @@ if TYPE_CHECKING:
     from .network import NetworkParams
 
 
-class _CliUsage(Exception):
+class _CliUsage(FiberspinError):
     """Raised for argument, config, and preset problems; maps to exit 1."""
+
+    code = "usage"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,7 +134,7 @@ def fmt9(x: float) -> str:
     """9-significant-digit decimal, shortest fixed/scientific form."""
     x = float(x)
     if math.isnan(x) or math.isinf(x):
-        raise ValueError("refusing to format a non-finite number")
+        raise OutOfRange("refusing to format a non-finite number")
     if x == 0.0:
         return "0.00000000"
     ax = abs(x)
@@ -179,11 +183,17 @@ def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None, kv
     # writelines drops each row before it draws the next, so a block's text
     # is freed, or its buffer free to reuse, before the next block is made
     chunks = map(line, rows)
-    created = bool(out) and not os.path.lexists(out)
-    written = False
+    created = written = False
     try:
         if out:
-            with open(out, "wb") as fh:
+            existed = os.path.lexists(out)
+            try:
+                fh = open(out, "wb")
+            except ValueError as exc:
+                # a path open refuses before the OS sees it, as one with a NUL
+                raise _CliUsage(f"cannot write {out}: {exc}") from exc
+            created = not existed
+            with fh:
                 fh.writelines(chunks)
         elif hasattr(sys.stdout, "buffer"):
             sys.stdout.flush()
@@ -204,7 +214,8 @@ def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None, kv
 def _read_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: text that is not UTF-8, or a path open refuses, as one with a NUL
         raise _CliUsage(f"cannot read config file {path}: {exc}") from exc
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -322,20 +333,23 @@ def _report(pairs: Iterable[tuple[str, float]], notes: Iterable[str], args) -> N
 
 def cmd_steady(args) -> None:
     from .network import denominator, steady_fields, validate_regime
+    from .numerics import _FloatParts, _split
 
     p = _network_params(args)
     s = steady_fields(p)
     d = denominator(p)
+    # |z| as abs(z), but inf where that overflows, for _report to refuse
+    mod = _FloatParts.mod
     pairs = [
         ("alpha_re", s.alpha.real),
         ("alpha_im", s.alpha.imag),
-        ("alpha_mod", abs(s.alpha)),
+        ("alpha_mod", mod(_split(s.alpha))),
         ("beta_re", s.beta.real),
         ("beta_im", s.beta.imag),
-        ("beta_mod", abs(s.beta)),
+        ("beta_mod", mod(_split(s.beta))),
         ("denominator_re", d.real),
         ("denominator_im", d.imag),
-        ("denominator_mod", abs(d)),
+        ("denominator_mod", mod(_split(d))),
     ]
     _report(pairs, validate_regime(p, s), args)
 
@@ -514,9 +528,6 @@ def main(argv=None) -> int:
     except FiberspinError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (_CliUsage, ValueError) as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 1
 
 
 def run() -> NoReturn:

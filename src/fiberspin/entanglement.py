@@ -77,7 +77,7 @@ def concurrence_pure(psi):
     if a.shape[-1:] != (4,) or a.ndim not in (1, 2):
         raise ValueError(f"expected 4 amplitudes or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite amplitudes")
+        raise OutOfRange("non-finite amplitudes")
     nrm = np.ravel(np.linalg.norm(a, axis=-1))
     off = np.abs(nrm - 1.0)
     if np.any(off > _NORM_TOL):
@@ -198,7 +198,7 @@ class EntanglementTrace:
         for lo in range(0, values.size, _BLOCK_ROWS):
             v = values[lo : lo + _BLOCK_ROWS]
             if not np.all((v >= 0.0) & (v <= 1.0 + 1e-9)):
-                raise ValueError("entanglement values escaped [0, 1]")
+                raise OutOfRange("entanglement values escaped [0, 1]")
 
     @property
     def taus(self) -> np.ndarray:

@@ -68,8 +68,12 @@ class NonpositiveGamma(FiberspinError):
     code = "nonpositive-gamma"
 
 
-class OutOfRange(FiberspinError):
-    """Scalar argument outside its documented domain."""
+class OutOfRange(FiberspinError, ValueError):
+    """A value outside its documented domain, or a result past the float range.
+
+    Also a ValueError, so a caller that catches ValueError for a bad
+    value still catches it.
+    """
 
     code = "out-of-range"
 

@@ -51,13 +51,13 @@ class RamanParams:
     def __post_init__(self):
         vals = (self.g, self.omega, self.delta_a, self.gamma, self.nbar)
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError("non-finite Raman parameter")
+            raise OutOfRange("non-finite Raman parameter")
         if self.delta_a == 0.0:
             raise ZeroDetuning("delta_a = 0 makes the effective shift diverge")
         if self.gamma <= 0.0:
             raise NonpositiveGamma(f"cavity decay must be > 0, got {self.gamma!r}")
         if self.nbar < 0.0:
-            raise ValueError(f"photon number must be >= 0, got {self.nbar!r}")
+            raise OutOfRange(f"photon number must be >= 0, got {self.nbar!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class FiberLossSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.db_per_km) and math.isfinite(self.length_km)):
-            raise ValueError("non-finite fiber loss field")
+            raise OutOfRange("non-finite fiber loss field")
         if self.db_per_km < 0.0 or self.length_km < 0.0:
             raise NegativeLoss("attenuation and length must be >= 0")
         if not isinstance(self.convention, LossConvention):
@@ -102,7 +102,7 @@ def j_estimate(chi: float, nbar: float, gamma: float) -> float:
     if not math.isfinite(gamma) or gamma <= 0.0:
         raise NonpositiveGamma(f"cavity decay must be > 0, got {gamma!r}")
     if not (math.isfinite(chi) and math.isfinite(nbar)):
-        raise ValueError("non-finite estimate input")
+        raise OutOfRange("non-finite estimate input")
     return chi * chi * nbar / (2.0 * gamma)
 
 
@@ -129,7 +129,7 @@ def lossy_coupling_report(j: float, gamma_f: float) -> LossyCoupling:
     if gamma_f < 0.0:
         raise NegativeLoss(f"loss exponent must be >= 0, got {gamma_f!r}")
     if not math.isfinite(j):
-        raise ValueError("non-finite coupling")
+        raise OutOfRange("non-finite coupling")
     return LossyCoupling(single=j * math.exp(-gamma_f), squared=j * math.exp(-2.0 * gamma_f))
 
 

@@ -109,9 +109,9 @@ def _check_set(values) -> None:
     gamma, delta, chi, drive, phi12, phi21, gamma_f = values
     ops = _parts_of(gamma)
     if ops.fails(ops.nonfinite(gamma, delta, chi, *_split(drive), phi12, phi21, gamma_f)):
-        raise ValueError("non-finite network parameter")
+        raise OutOfRange("non-finite network parameter")
     if ops.fails(gamma < 0.0):
-        raise ValueError(f"cavity decay rate must be >= 0, got {gamma!r}")
+        raise OutOfRange(f"cavity decay rate must be >= 0, got {gamma!r}")
     if ops.fails(gamma_f < 0.0):
         raise NegativeLoss(f"fiber loss exponent must be >= 0, got {gamma_f!r}")
 
@@ -275,7 +275,8 @@ def validate_regime(p: NetworkParams, s: SteadyFields) -> list[str]:
     if p.chi == 0.0:
         return notes
     ratio = p.gamma / p.chi
-    mod_alpha = abs(s.alpha)
+    # inf where abs(alpha) would overflow, so this never raises
+    mod_alpha = _parts_of(p.gamma).mod(_split(s.alpha))
     if ratio <= 5.0:
         notes.append(
             f"gamma/chi = {ratio:.4g} not >> 1: field relaxation is not fast against the shift"

@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import SingularSystem
+from .errors import OutOfRange, SingularSystem
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,8 +122,11 @@ class _FloatParts:
 
     @staticmethod
     def ldexp(z, k):
-        """z * 2**k on both parts; OverflowError if a part leaves the float range."""
-        return math.ldexp(z[0], k), math.ldexp(z[1], k)
+        """z * 2**k on both parts; OutOfRange if a part leaves the float range, as only _solve2's solution can."""
+        try:
+            return math.ldexp(z[0], k), math.ldexp(z[1], k)
+        except OverflowError:
+            raise OutOfRange(f"a component of the solution exceeds the float range: {complex(*z)!r} * 2**{k}") from None
 
     @staticmethod
     def exponent(*parts):
@@ -165,7 +168,7 @@ def _solve2(a00, a01, a10, a11, b0, b1):
     ops = _parts_of(a00[0])
     m_parts = (*a00, *a01, *a10, *a11)
     if ops.fails(ops.nonfinite(*m_parts, *b0, *b1)):
-        raise ValueError("non-finite entries in linear system")
+        raise OutOfRange("non-finite entries in linear system")
     # a modulus beyond the float range reads inf, which only the rescaled
     # path can cope with
     scale = ops.max(ops.mod(a00), ops.mod(a01), ops.mod(a10), ops.mod(a11))
@@ -214,12 +217,13 @@ def solve2(m, rhs) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the shapes are wrong or an entry is not finite.
+        If the shapes are wrong.
+    OutOfRange
+        If an entry is not finite, or a component of the solution
+        exceeds the float range.
     SingularSystem
         If |det m| <= 1e-12 * max|m_ij|^2, i.e. the system is singular
         relative to the scale of its entries.
-    OverflowError
-        If a component of the solution exceeds the float range.
     """
     from . import _arrays
 
@@ -255,8 +259,10 @@ def eig_hermitian4(h) -> HermEig4:
     stack at once, and a matrix leaves the active set at the first sweep
     boundary where its own off-diagonal norm meets its own tolerance.
 
-    Raises NotHermitian if any input matrix fails the Hermiticity check,
-    and OverflowError if an eigenvalue exceeds the float range.
+    Raises ValueError for a shape other than (4, 4) or (n, 4, 4),
+    OutOfRange for an entry that is not finite, NotHermitian if any input
+    matrix fails the Hermiticity check, and OutOfRange if an eigenvalue
+    exceeds the float range.
     """
     from . import _arrays
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateEta
+from .errors import DegenerateEta, OutOfRange
 from .numerics import HermEig4
 
 BASIS_LABELS = ("ee", "eg", "ge", "gg")
@@ -53,18 +53,18 @@ class SpinParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.j) and math.isfinite(self.b)):
-            raise ValueError("non-finite spin parameter")
+            raise OutOfRange("non-finite spin parameter")
         if self.eta is None:
             if self.j != 0.0:
                 object.__setattr__(self, "eta", self.b / self.j)
             return
         if not math.isfinite(self.eta):
-            raise ValueError("non-finite eta")
+            raise OutOfRange("non-finite eta")
         if self.j == 0.0:
-            raise ValueError("eta is meaningless with j = 0; omit it")
+            raise OutOfRange("eta is meaningless with j = 0; omit it")
         prod = self.eta * self.j
         if abs(prod - self.b) > _CONSISTENCY_TOL * max(abs(prod), abs(self.b)):
-            raise ValueError(f"eta*j = {prod!r} inconsistent with b = {self.b!r}")
+            raise OutOfRange(f"eta*j = {prod!r} inconsistent with b = {self.b!r}")
 
     @classmethod
     def from_eta(cls, eta: float, j: float = 1.0) -> "SpinParams":
@@ -148,7 +148,7 @@ def analytic_eigensystem(sp: SpinParams) -> AnalyticEigensystem:
     if sp.eta is None or sp.eta == 0.0:
         raise DegenerateEta("eigenvector normalizations divide by eta-dependent radicals")
     if sp.j <= 0.0:
-        raise ValueError(f"closed-form eigensystem requires j > 0, got {sp.j!r}")
+        raise OutOfRange(f"closed-form eigensystem requires j > 0, got {sp.j!r}")
     k = eta_constants(sp.eta)
     p1, q1, p4, q4, s = k.p1, k.q1, k.p4, k.q4, k.s
     states = np.array(
@@ -197,7 +197,7 @@ def evolve_analytic(eta: float, tau: float) -> np.ndarray:
     """
     _require_positive_eta(eta)
     if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
+        raise OutOfRange("tau must be finite")
     es = analytic_eigensystem(SpinParams.from_eta(eta))
     c1, _, c3, c4 = initial_coefficients(eta)
     s = eta_constants(eta).s
@@ -215,6 +215,6 @@ def scaled_time(t: float, j: float) -> float:
 
 def _require_positive_eta(eta: float) -> None:
     if not isinstance(eta, (int, float)) or not math.isfinite(eta):
-        raise ValueError(f"eta must be a finite real, got {eta!r}")
+        raise OutOfRange(f"eta must be a finite real, got {eta!r}")
     if eta <= 0.0:
         raise DegenerateEta(f"eta must be > 0, got {eta!r}")

@@ -244,9 +244,12 @@ def suite_entanglement(
 def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[SuiteResult]:
     """Run every suite with one seeded generator; tolerance overrides all defaults.
 
-    Raises OutOfRange, before any suite runs, for a tolerance that is NaN,
-    infinite or negative: against it every defect would pass, or none.
+    Raises OutOfRange, before any suite runs, for a negative seed, which
+    numpy's generator refuses, and for a tolerance that is NaN, infinite
+    or negative: against it every defect would pass, or none.
     """
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed!r}")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise OutOfRange(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     rng = np.random.default_rng(seed)

@@ -1,6 +1,9 @@
 """Subprocess checks of the command-line interface and its output contract."""
 
 import argparse
+import ast
+import builtins
+import collections
 import contextlib
 import gc
 import hashlib
@@ -8,7 +11,9 @@ import importlib
 import io
 import json
 import math
+import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 try:
@@ -290,14 +295,14 @@ def test_evolve_fails_before_writing(monkeypatch, capsys, tmp_path):
     assert main(["evolve", "--tau-max", "1", "--step", "0.01"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: usage:")
+    assert captured.err.startswith("error: out-of-range:")
 
     # nor does it create --out
     out = tmp_path / "partial.csv"
     assert main(["evolve", "--tau-max", "1", "--step", "0.01", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: usage:")
+    assert captured.err.startswith("error: out-of-range:")
     assert not out.exists()
 
 
@@ -677,8 +682,28 @@ def test_feasibility_refuses_a_non_finite_chi(chi, capsys):
             ("feasibility", "--db-per-km", "1e308", "--length-km", "10"),
             "error: out-of-range: loss exponent of 1e+308 dB/km over 10.0 km overflows\n",
         ),
+        # |alpha| overflows while both of its parts are finite
+        (
+            ("steady", "--gamma", "0.5", "--delta", "0", "--phi12", "1.5707963267948966", "--phi21", "0")
+            + ("--drive-re", "1.4e308"),
+            "error: out-of-range: alpha_mod is not finite, got inf\n",
+        ),
+        # the finite sources give a solve2 solution past the float range
+        (
+            ("coupling", "--chi", "1e308", "--drive-re", "1"),
+            "error: out-of-range: a component of the solution exceeds the float range:"
+            " (-2.2250738585072014+7.161102507662779e-16j) * 2**1023\n",
+        ),
     ],
-    ids=["coupling", "coupling-source", "steady", "feasibility-chi", "feasibility-loss"],
+    ids=[
+        "coupling",
+        "coupling-source",
+        "steady",
+        "feasibility-chi",
+        "feasibility-loss",
+        "steady-mod",
+        "coupling-solve2",
+    ],
 )
 def test_a_non_finite_result_is_refused_before_printing(argv, err, capsys, tmp_path):
     assert main(list(argv)) == 1
@@ -767,6 +792,16 @@ def test_validate_refuses_a_bad_tolerance(capsys, tmp_path, tolerance):
         assert captured.out == ""
         assert captured.err.startswith("error: out-of-range: tolerance must be")
         assert captured.err.count("\n") == 1
+
+
+def test_validate_refuses_a_negative_seed(capsys, tmp_path):
+    # numpy's generator would refuse it with a bare ValueError
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\n", encoding="utf-8")
+    for argv in (["validate", "--seed", "-1"], ["validate", "--config", str(cfg)]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: out-of-range: seed must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("eta", ["5e-324", "1e-315", "1e-310"])
@@ -1231,10 +1266,16 @@ def test_config_key_matches_its_flag(command, capsys, tmp_path):
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_missing_config_is_usage_error(command, capsys, tmp_path):
-    assert main([command, "--config", str(tmp_path / "missing.cfg")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: usage: cannot read config file")
+    # a missing file, one that is not UTF-8, and a path open refuses, which
+    # only an in-process caller can pass
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"# caf\xe9\n")
+    for path in (str(tmp_path / "missing.cfg"), str(latin1), "nul\0.cfg"):
+        assert main([command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: usage: cannot read config file")
+        assert captured.err.count("\n") == 1
 
 
 def test_error_classes_carry_their_exit_codes():
@@ -1247,12 +1288,126 @@ def test_error_classes_carry_their_exit_codes():
         assert c.exit_code == special.get(c, 1), c
 
 
-def test_unwritable_out_is_one_usage_line(cli, tmp_path):
+#: every class a CLI error line can name, by its code
+_CLASS_OF_CODE = {
+    c.code: c
+    for c in (*vars(errors).values(), _CliUsage)
+    if isinstance(c, type) and issubclass(c, errors.FiberspinError)
+}
+
+#: flag values at the float edges: +-{0, the least subnormal, inf, nan} or a log-uniform magnitude
+_EDGE_VALUES = st.builds(
+    operator.mul,
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.sampled_from([0.0, 5e-324, math.inf, math.nan]), st.floats(-308.0, 308.0).map(lambda e: 10.0**e)),
+)
+
+#: a scalar subcommand and a random subset of its numeric parameters, with values
+_SCALAR_RUNS = st.sampled_from(["steady", "coupling", "feasibility"]).flatmap(
+    lambda command: st.tuples(
+        st.just(command),
+        st.dictionaries(
+            st.sampled_from([name for name, (parse, _) in cli_module._PARAMS[command].items() if parse is float]),
+            _EDGE_VALUES,
+        ),
+    )
+)
+
+
+@given(_SCALAR_RUNS)
+@example(("steady", {"gamma": 0.5, "delta": 0.0, "phi12": math.pi / 2, "phi21": 0.0, "drive_re": 1.4e308}))
+@example(("coupling", {"chi": 1e308, "drive_re": 1.0}))
+@settings(max_examples=300, deadline=None)
+def test_a_scalar_run_prints_finite_values_or_one_typed_refusal(run):
+    # exit 2 is not checked against a recomputed |D| here: an underflowed
+    # gamma^2 + delta^2 still reads as the resonance
+    command, values = run
+    argv = [command, *(f"--{name.replace('_', '-')}={value!r}" for name, value in values.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        for line in out.splitlines():
+            if not line.startswith("WARN "):
+                assert math.isfinite(float(line.split(" = ")[1])), line
+    else:
+        assert out == ""
+        refusal = re.fullmatch(r"error: ([a-z-]+): [^\n]+\n", err)
+        assert refusal, err
+        assert _CLASS_OF_CODE[refusal[1]].exit_code == code, err
+
+
+#: the raises in src/fiberspin that name a class outside FiberspinError, by
+#: (module, function): shape and type checks that no CLI input reaches, then
+#: two bug reports, a stack whose members disagree with it and a Jacobi
+#: iteration that does not converge
+_UNTYPED_RAISES = {
+    ("_arrays", "solve2"): ["ValueError"],
+    ("_arrays", "network_fields"): ["ValueError"],
+    ("_arrays", "_check_hermitian"): ["ValueError"],
+    ("_arrays", "propagate"): ["ValueError", "ValueError"],
+    ("entanglement", "concurrence_pure"): ["ValueError"],
+    ("_blocks", "Formatter.__init__"): ["ValueError"],
+    ("feasibility", "FiberLossSpec.__post_init__"): ["ValueError"],
+    ("_arrays", "first_alone"): ["RuntimeError"],
+    ("_arrays", "eig_hermitian4"): ["FloatingPointError"],
+}
+
+
+def _raised_names(tree):
+    """(function's qualified name, raised name) of each `raise Name(...)` in a module's tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+                assert isinstance(child.exc.func, ast.Name), ast.unparse(child)
+                found.append((".".join(scope), child.exc.func.id))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_every_refusal_is_a_fiberspin_error():
+    # main and first_alone catch FiberspinError only, so any other error
+    # class raised for a bad value would reach a user as a traceback
+    package = Path(cli_module.__file__).parent
+    untyped = collections.defaultdict(list)
+    for path in sorted(package.glob("*.py")):
+        raised = _raised_names(ast.parse(path.read_text(encoding="utf-8")))
+        if not raised:
+            continue
+        module = importlib.import_module("fiberspin" if path.stem == "__init__" else f"fiberspin.{path.stem}")
+        for function, name in raised:
+            cls = getattr(module, name, None) or getattr(builtins, name)
+            # an exit is no error; a module __getattr__ reports a missing name
+            # with AttributeError, as PEP 562 requires
+            if not issubclass(cls, Exception) or issubclass(cls, errors.FiberspinError):
+                continue
+            if (function, cls) == ("__getattr__", AttributeError):
+                continue
+            untyped[path.stem, function].append(name)
+    assert dict(untyped) == _UNTYPED_RAISES
+
+
+def test_unwritable_out_is_one_usage_line(cli, capsys, tmp_path):
     r = cli("steady", "--out", str(tmp_path / "missing" / "x"))
     assert r.returncode == 1
     assert r.stdout == b""
     assert r.stderr.startswith(b"error: usage: cannot write ")
     assert r.stderr.count(b"\n") == 1
+    # open refuses a path with a NUL before the OS sees it; only an
+    # in-process caller can pass one
+    for command in ("steady", "evolve"):
+        assert main([command, "--out", "nul\0.txt"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: usage: cannot write nul\0.txt: embedded null byte\n")
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -280,6 +280,7 @@ _BAD_SETS = {
     "gamma squared overflows": dict(SYM, gamma=1e200),
     "delta squared overflows": dict(SYM, delta=1e170),
     "source overflows": dict(SYM, chi=1e10, drive=1e300),
+    "fluctuation solution overflows": dict(SYM, chi=1e308, drive=1.0),
 }
 
 
@@ -322,7 +323,7 @@ def test_results_beyond_the_float_range_are_refused(monkeypatch):
     for name, s in refused.items():
         with pytest.raises(OutOfRange, match=rf"^{name} is not finite, got (inf|nan)$"):
             fluctuation_coefficients(p, s)
-    # solve2 raises OverflowError before a coefficient can leave the float
+    # solve2 raises OutOfRange before a coefficient can leave the float
     # range, so the coefficient check is reached only through a stub
     s = steady_fields(p)
     coefficients = ((0.0, 0.0), (0.0, math.inf), (0.0, 0.0), (0.0, 0.0))
@@ -331,11 +332,25 @@ def test_results_beyond_the_float_range_are_refused(monkeypatch):
         fluctuation_coefficients(p, s)
 
 
+def test_a_fluctuation_solution_beyond_the_float_range_is_refused():
+    # the sources -i*chi*alpha and -i*chi*beta are finite; solve2's solution is not
+    bad = _BAD_SETS["fluctuation solution overflows"]
+    message = r"^a component of the solution exceeds the float range: "
+    p = NetworkParams(**bad)
+    with pytest.raises(OutOfRange, match=message):
+        coupling(p)
+    with pytest.raises(OutOfRange, match=message):
+        fluctuation_coefficients(p, steady_fields(p))
+    stack = NetworkParams(**{name: [SYM[name], value, SYM[name]] for name, value in bad.items()})
+    with pytest.raises(OutOfRange, match=message):
+        coupling(stack)
+
+
 def _error(f, *args):
     """(type, message) of what f(*args) raises, or None."""
     try:
         f(*args)
-    except (FiberspinError, ArithmeticError, ValueError) as exc:
+    except FiberspinError as exc:
         return type(exc), str(exc)
     return None
 
@@ -666,6 +681,11 @@ def test_regime_diagnostics_fire_and_clear():
     assert validate_regime(good, steady_fields(good)) == []
     off = dataclasses.replace(bad, chi=0.0)
     assert validate_regime(off, steady_fields(off)) == []
+    # |alpha| overflows while both of its parts are finite: it reads inf
+    huge = NetworkParams(gamma=0.5, delta=0.0, chi=0.1, drive=1.4e308, phi12=math.pi / 2, phi21=0.0)
+    assert validate_regime(huge, steady_fields(huge)) == [
+        "gamma/chi = 5 not >> 1: field relaxation is not fast against the shift"
+    ]
 
 
 def test_apply_fiber_loss_returns_new_params():
