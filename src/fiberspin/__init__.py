@@ -60,7 +60,6 @@ _EXPORTS = {
         "SteadyFields",
         "apply_fiber_loss",
         "coupling",
-        "coupling_largedelta_lossy",
         "denominator",
         "fluctuation_coefficients",
         "fluctuation_coefficients_closed",

@@ -144,15 +144,15 @@ def fmt9(x: float) -> str:
     return f"{x:.{digits}f}"
 
 
-def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None, kv: bool = True) -> None:
+def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None) -> None:
     """Write rows to stdout or a file, LF-terminated, each as it is drawn.
 
     A row is a tuple of strings, rendered here and encoded as UTF-8, or a
     bytes-like object of text already rendered, written as it is; so a
     table drawn block by block is never held whole, and a view into a
     buffer that the next row reuses is written before that row is drawn.
-    kv=True renders two-element rows as `key = value` report lines in text
-    mode; kv=False renders every row as space-joined columns.
+    A tuple is rendered as a CSV record in csv mode and as space-joined
+    columns in text mode.
 
     The bytes go to a binary stream: the out file opened "wb", or
     sys.stdout.buffer after sys.stdout is flushed, so that text printed
@@ -170,14 +170,7 @@ def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None, kv
     def line(row):
         if not isinstance(row, tuple):
             return row
-        if fmt == "csv":
-            text = csv_line(row)
-        elif kv and len(row) == 2 and row[0] == "warn":
-            text = f"WARN {row[1]}\n"
-        elif kv and len(row) == 2:
-            text = f"{row[0]} = {row[1]}\n"
-        else:
-            text = " ".join(row) + "\n"
+        text = csv_line(row) if fmt == "csv" else " ".join(row) + "\n"
         return text.encode("utf-8")
 
     # writelines drops each row before it draws the next, so a block's text
@@ -191,7 +184,7 @@ def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None, kv
                 fh = open(out, "wb")
             except ValueError as exc:
                 # a path open refuses before the OS sees it, as one with a NUL
-                raise _CliUsage(f"cannot write {out}: {exc}") from exc
+                raise _CliUsage(f"cannot write {out!r}: {exc}") from exc
             created = not existed
             with fh:
                 fh.writelines(chunks)
@@ -204,7 +197,7 @@ def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None, kv
     except OSError as exc:
         if not out:
             raise  # stdout failures, a closed pipe among them, are main's
-        raise _CliUsage(f"cannot write {out}: {exc}") from exc
+        raise _CliUsage(f"cannot write {out!r}: {exc}") from exc
     finally:
         if created and not written:
             with contextlib.suppress(OSError):
@@ -216,14 +209,14 @@ def _read_config(path: str) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
         # ValueError: text that is not UTF-8, or a path open refuses, as one with a NUL
-        raise _CliUsage(f"cannot read config file {path}: {exc}") from exc
+        raise _CliUsage(f"cannot read config file {path!r}: {exc}") from exc
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _CliUsage(f"{path}:{lineno}: expected `key = value`")
+            raise _CliUsage(f"{path!r}:{lineno}: expected `key = value`")
         key, value = line.split("=", 1)
         entries[key.strip().lower().replace("-", "_")] = value.strip()
     return entries
@@ -316,11 +309,12 @@ def _network_params(args) -> NetworkParams:
 
 
 def _report(pairs: Iterable[tuple[str, float]], notes: Iterable[str], args) -> None:
-    """Emit (name, value) report lines, then one `warn` line per note.
+    """Emit (name, value) report lines, then one warning line per note.
 
     Each value is checked as it is drawn, so a value that is not finite
     refuses the run with OutOfRange, naming it, before a later pair is
-    computed and before anything is written.
+    computed and before anything is written. Text mode prints them as
+    `name = value` and `WARN note` lines.
     """
     rows = []
     for name, value in pairs:
@@ -328,6 +322,8 @@ def _report(pairs: Iterable[tuple[str, float]], notes: Iterable[str], args) -> N
             raise OutOfRange(f"{name} is not finite, got {value!r}")
         rows.append((name, fmt9(value)))
     rows.extend(("warn", note) for note in notes)
+    if args.format == "text":
+        rows = [(f"WARN {v}" if k == "warn" else f"{k} = {v}",) for k, v in rows]
     _emit(rows, args.format, args.out)
 
 
@@ -388,7 +384,7 @@ def cmd_evolve(args) -> None:
     formatter = _blocks.Formatter(2, "," if args.format == "csv" else " ")
     # map holds no block it has passed on, so each is freed before the next is made
     texts = formatter.stream(map(operator.attrgetter("taus", "values"), blocks))
-    _emit(itertools.chain([("tau", "entanglement")], texts), args.format, args.out, kv=False)
+    _emit(itertools.chain([("tau", "entanglement")], texts), args.format, args.out)
 
 
 #: most etas one --etas-log grid may ask for; each is a full tau_star scan
@@ -397,6 +393,8 @@ _ETAS_LOG_MAX = 10_000
 
 def _taustar_etas(args, cfg) -> list[float]:
     if args.etas_log is not None:
+        if args.etas is not None:
+            raise _CliUsage("--etas and --etas-log cannot be given together")
         parts = args.etas_log.split(":")
         if len(parts) != 3:
             raise _CliUsage("--etas-log expects start:stop:count")
@@ -422,13 +420,11 @@ def cmd_taustar(args) -> None:
     results = [tau_star(eta, window=window, step=step, tolerance=tolerance) for eta in etas]
     rows = [("eta", "tau_star", "e_max")]
     rows.extend((fmt9(r.eta), fmt9(r.tau_star), fmt9(r.e_max)) for r in results)
-    _emit(rows, args.format, args.out, kv=False)
+    _emit(rows, args.format, args.out)
 
 
 def cmd_feasibility(args) -> None:
     cfg = _resolve(args)
-    if cfg["chi"] is not None and not math.isfinite(cfg["chi"]):
-        raise _CliUsage(f"chi must be finite, got {cfg['chi']!r}")
     raman = RamanParams(
         g=cfg["g"], omega=cfg["omega"], delta_a=cfg["delta_a"], gamma=cfg["gamma"], nbar=cfg["nbar"]
     )
@@ -441,7 +437,7 @@ def cmd_feasibility(args) -> None:
     gf_amp = gamma_f_from_db(amplitude)
     ratios = lossy_coupling_report(1.0, gf_power)
 
-    # drawn one by one, so a chi that is not finite is refused before j_estimate sees it
+    # drawn one by one, so a chi that is not finite is refused, as |chi|, before j_estimate sees it
     def pairs():
         yield "chi", chi_mag
         yield "chi_sign", chi_sign
@@ -469,7 +465,7 @@ def cmd_validate(args) -> None:
             rows.append((status, r.name, r.detail))
         else:
             rows.append((f"{status} {r.name}:", r.detail))
-    _emit(rows, args.format, args.out, kv=False)
+    _emit(rows, args.format, args.out)
     failed = [r for r in results if not r.passed]
     if failed:
         names = ", ".join(r.name for r in failed)

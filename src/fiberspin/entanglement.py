@@ -33,7 +33,7 @@ from .errors import (
     NotNormalized,
     OutOfRange,
 )
-from .numerics import eig_hermitian4
+from .numerics import NORM_TOL, eig_hermitian4
 
 #: (sy x sy) in basis order; real and symmetric
 SPIN_FLIP = np.array(
@@ -48,12 +48,11 @@ SPIN_FLIP = np.array(
 #: SPIN_FLIP[i, 3 - i] * SPIN_FLIP[3 - j, j], the signs of (sy x sy) X (sy x sy)
 _FLIP_SIGNS = np.outer(np.diag(SPIN_FLIP[:, ::-1]), np.diag(SPIN_FLIP[::-1]))
 
-_NORM_TOL = 1e-10
 _DM_TOL = 1e-10
 
 #: most points one trace grid may have; a larger request fails with BadGrid
-#: before any point is computed. entanglement_trace holds one 256 MiB array
-#: at the cap besides one block, 285 MiB peak RSS, so for it the cap
+#: before any point is computed. entanglement_trace makes one 256 MiB array
+#: at the cap in one kernel call, 288 MiB peak RSS, so for it the cap
 #: bounds memory; entanglement_blocks and `fiberspin evolve` hold one block,
 #: so for them it bounds output size and run time: 2**25 rows are 780 MB of CSV
 MAX_GRID_POINTS = 2**25
@@ -80,9 +79,9 @@ def concurrence_pure(psi):
         raise OutOfRange("non-finite amplitudes")
     nrm = np.ravel(np.linalg.norm(a, axis=-1))
     off = np.abs(nrm - 1.0)
-    if np.any(off > _NORM_TOL):
+    if np.any(off > NORM_TOL):
         worst = float(nrm[np.argmax(off)])
-        raise NotNormalized(f"|psi| = {worst!r} differs from 1 beyond {_NORM_TOL:.0e}")
+        raise NotNormalized(f"|psi| = {worst!r} differs from 1 beyond {NORM_TOL:.0e}")
     r, i = a.real.T, a.imag.T
     # 2*|a_ee*a_gg - a_eg*a_ge|, each complex product in real arithmetic
     re = (r[0] * r[3] - i[0] * i[3]) - (r[1] * r[2] - i[1] * i[2])
@@ -240,15 +239,12 @@ def entanglement_trace(eta: float, tau_max: float, step: float) -> EntanglementT
     step must satisfy 0 < step <= 0.1 (coarser grids alias the beat
     structure) and tau_max >= step. The grid may have at most
     MAX_GRID_POINTS (2**25) points; a larger one raises BadGrid before
-    anything is allocated. E(0) = 0 since |gg> is a product state. The one
-    result array is made once and filled from entanglement_blocks, which
-    runs every guard and check, so besides it memory holds one block; the
-    trace's taus are made only when read.
+    anything is allocated. E(0) = 0 since |gg> is a product state. One
+    kernels.ent_trace_grid call makes the values, refusing eta and the last
+    phase first, and EntanglementTrace checks them once; besides them memory
+    holds one span of kernel blocks. The taus are made only when read.
     """
-    blocks = entanglement_blocks(eta, tau_max, step)
-    values = np.empty(_grid_points(tau_max, step))
-    for b in blocks:
-        values[b.start : b.start + b.values.size] = b.values
+    values = kernels.ent_trace_grid(eta, step, n=_grid_points(tau_max, step))
     return EntanglementTrace(eta=eta, step=step, values=values)
 
 

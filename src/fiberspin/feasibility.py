@@ -123,7 +123,12 @@ def gamma_f_from_db(spec: FiberLossSpec) -> float:
 
 
 def lossy_coupling_report(j: float, gamma_f: float) -> LossyCoupling:
-    """J under both attenuation conventions: one factor and two factors of e^{-gamma_f}."""
+    """J under both attenuation conventions: one factor and two factors of e^{-gamma_f}.
+
+    squared is the far-detuned limit of the lossy network coupling, one
+    factor of e^{-gamma_f} per fiber direction, valid when the detuning
+    dominates the cavity decay (delta >> gamma).
+    """
     if not math.isfinite(gamma_f):
         raise OutOfRange(f"loss exponent must be finite, got {gamma_f!r}")
     if gamma_f < 0.0:

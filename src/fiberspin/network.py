@@ -458,26 +458,10 @@ def apply_fiber_loss(p: NetworkParams, gamma_f: float) -> NetworkParams:
     """Return params with the per-traversal loss exponent replaced.
 
     Every fiber factor e^{i*phi} downstream becomes e^{i*phi - gamma_f},
-    including inside the steady-state denominator.
+    including inside the steady-state denominator. NetworkParams' checks
+    refuse a gamma_f that is not finite (OutOfRange), or negative (NegativeLoss).
     """
-    if not math.isfinite(gamma_f):
-        raise OutOfRange(f"fiber loss exponent must be finite, got {gamma_f!r}")
-    if gamma_f < 0.0:
-        raise NegativeLoss(f"fiber loss exponent must be >= 0, got {gamma_f!r}")
     return replace(p, gamma_f=gamma_f)
-
-
-def coupling_largedelta_lossy(j_lossless: float, gamma_f: float) -> float:
-    """Far-detuned limit of the lossy coupling: J attenuates by exp(-2*gamma_f).
-
-    One factor of e^{-gamma_f} per fiber direction; valid when the
-    detuning dominates the cavity decay (delta >> gamma).
-    """
-    if not math.isfinite(gamma_f):
-        raise OutOfRange(f"fiber loss exponent must be finite, got {gamma_f!r}")
-    if gamma_f < 0.0:
-        raise NegativeLoss(f"fiber loss exponent must be >= 0, got {gamma_f!r}")
-    return j_lossless * math.exp(-2.0 * gamma_f)
 
 
 def symmetric_phase_sum(gamma: float, delta: float) -> float:

@@ -14,6 +14,7 @@ import math
 import operator
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -580,6 +581,52 @@ def test_taustar_log_grid_of_one_eta_is_its_start(cli):
     assert out[1].split(",")[0] == "0.300000000"
 
 
+#: the README's fenced code blocks, as (language, body)
+README_BLOCKS = re.findall(
+    r"```(\w+)\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"), re.S
+)
+
+
+def test_readme_command_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    examples = [
+        shlex.split(line)[1:]
+        for lang, body in README_BLOCKS
+        if lang == "sh"
+        for line in body.splitlines()
+        if line.startswith("fiberspin ")
+    ]
+    assert len(examples) == 6
+    for argv in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+    assert (tmp_path / "trace.csv").stat().st_size > 0
+
+
+def test_readme_quick_start_prints_its_numbers(capsys):
+    (code,) = [body for lang, body in README_BLOCKS if lang == "python"]
+    exec(code, {})
+    e_max, hit = capsys.readouterr().out.splitlines()
+    tau, e = hit.split()
+    assert e_max.startswith("0.9999892")
+    assert tau.startswith("146.59") and e.startswith("0.99999")
+
+
+def test_taustar_refuses_etas_with_etas_log(capsys, tmp_path):
+    # an explicit --etas was dropped silently; both flags are one usage line
+    assert main(["taustar", "--etas", "0.5", "--etas-log", "0.1:0.4:2", "--window", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: usage: --etas and --etas-log cannot be given together\n"
+    # flags outrank the config file, so --etas-log overrides a config-file etas
+    cfg = tmp_path / "etas.cfg"
+    cfg.write_text("etas = 0.5\n", encoding="utf-8")
+    assert main(["taustar", "--config", str(cfg), "--etas-log", "0.1:0.4:2", "--window", "100"]) == 0
+    from_config = capsys.readouterr()
+    assert main(["taustar", "--etas-log", "0.1:0.4:2", "--window", "100"]) == 0
+    assert from_config == capsys.readouterr()
+
+
 def test_taustar_rejects_bad_eta_lists(cli):
     empty = cli("taustar", "--etas", "", "--window", "100")
     assert empty.returncode == 1
@@ -661,7 +708,8 @@ def test_feasibility_refuses_a_non_finite_chi(chi, capsys):
     assert main(["feasibility", f"--chi={chi}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: usage: chi must be finite, got {float(chi)!r}\n"
+    # the chi line shows |chi|, so -inf is refused as inf
+    assert captured.err == f"error: out-of-range: chi is not finite, got {abs(float(chi))!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -1270,11 +1318,12 @@ def test_missing_config_is_usage_error(command, capsys, tmp_path):
     # only an in-process caller can pass
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes(b"# caf\xe9\n")
-    for path in (str(tmp_path / "missing.cfg"), str(latin1), "nul\0.cfg"):
+    newline = str(tmp_path / "new\nline.cfg")
+    for path in (str(tmp_path / "missing.cfg"), str(latin1), "nul\0.cfg", newline):
         assert main([command, "--config", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: usage: cannot read config file")
+        assert captured.err.startswith(f"error: usage: cannot read config file {path!r}: ")
         assert captured.err.count("\n") == 1
 
 
@@ -1403,11 +1452,18 @@ def test_unwritable_out_is_one_usage_line(cli, capsys, tmp_path):
     assert r.stderr.startswith(b"error: usage: cannot write ")
     assert r.stderr.count(b"\n") == 1
     # open refuses a path with a NUL before the OS sees it; only an
-    # in-process caller can pass one
+    # in-process caller can pass one. Both paths are quoted, so the
+    # error stays one line
     for command in ("steady", "evolve"):
         assert main([command, "--out", "nul\0.txt"]) == 1
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: usage: cannot write nul\0.txt: embedded null byte\n")
+        assert (captured.out, captured.err) == ("", "error: usage: cannot write 'nul\\x00.txt': embedded null byte\n")
+        newline = str(tmp_path / "missing\nx" / "y")
+        assert main([command, "--out", newline]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: usage: cannot write {newline!r}: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -210,23 +210,17 @@ class _KernelReached(Exception):
 
 def test_trace_grid_cap_refuses_before_allocating(monkeypatch):
     calls = []
-    check_grid = kernels.check_grid
-
-    def checked(eta, step, n):
-        calls.append(("check_grid", n))
-        check_grid(eta, step, n)
 
     def kernel(eta, step, n, start=0):
-        calls.append(("kernel", start))
+        calls.append((n, start))
         raise _KernelReached
 
-    monkeypatch.setattr(kernels, "check_grid", checked)
     monkeypatch.setattr(kernels, "ent_trace_grid", kernel)
     step = 0.0625  # binary-exact, so tau_max / step is an exact count
     with pytest.raises(_KernelReached):
         entanglement_trace(0.1, (MAX_GRID_POINTS - 1) * step, step)
-    # the whole grid passed check_grid, then its first block reached the kernel
-    assert calls == [("check_grid", MAX_GRID_POINTS), ("kernel", 0)]
+    # the whole grid reached the kernel in one call
+    assert calls == [(MAX_GRID_POINTS, 0)]
     tracemalloc.start()
     try:
         for tau_max, s in ((MAX_GRID_POINTS * step, step), (1e7, 0.01), (1e300, 1e-300)):
@@ -235,7 +229,7 @@ def test_trace_grid_cap_refuses_before_allocating(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [("check_grid", MAX_GRID_POINTS), ("kernel", 0)]
+    assert calls == [(MAX_GRID_POINTS, 0)]
     assert peak < 1 << 20
 
 
@@ -304,7 +298,7 @@ def test_trace_memory_is_its_one_array():
 def test_blocks_are_the_trace_bit_for_bit(eta, tau_max):
     assert _BLOCK_ROWS == 16_384
     step = 0.01
-    # the reference is one kernel call on the whole grid, which no trace makes
+    # the reference is one kernel call on the whole grid, as entanglement_trace makes
     n = round(tau_max / step) + 1
     taus, values = np.arange(n) * step, kernels.ent_trace_grid(eta, step, n)
     blocks = list(entanglement_blocks(eta, tau_max, step))
@@ -338,10 +332,13 @@ def test_blocks_refuse_the_whole_grid_before_returning(monkeypatch):
     next(blocks)
     next(blocks)
     assert made == [0, _BLOCK_ROWS]
-    # a whole-grid trace makes the same block calls and no kernel call of its own
+    # a whole-grid trace makes one kernel call, on the whole grid, which
+    # refuses the grid's last phase as the blocks do
     made.clear()
     entanglement_trace(0.1, 400.0, 0.01)
-    assert made == [0, _BLOCK_ROWS, 2 * _BLOCK_ROWS]
+    assert made == [0]
+    with pytest.raises(DegenerateEta):
+        entanglement_trace(1e305, 1000.0, 0.01)
 
 
 def test_blocks_are_not_held_once_drawn():

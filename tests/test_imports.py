@@ -61,7 +61,6 @@ PUBLIC = {
         "SteadyFields",
         "apply_fiber_loss",
         "coupling",
-        "coupling_largedelta_lossy",
         "denominator",
         "fluctuation_coefficients",
         "fluctuation_coefficients_closed",

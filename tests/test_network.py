@@ -21,10 +21,10 @@ from fiberspin import (
     SteadyFields,
     apply_fiber_loss,
     coupling,
-    coupling_largedelta_lossy,
     denominator,
     fluctuation_coefficients,
     fluctuation_coefficients_closed,
+    lossy_coupling_report,
     steady_fields,
     symmetric_phase_sum,
     theta_variants,
@@ -653,20 +653,24 @@ def test_recycling_guard_names_the_denominator():
 
 
 def test_largedelta_lossy_reference_values():
+    # the far-detuned lossy coupling, J*exp(-2*gamma_f), has one home in feasibility
     assert math.isclose(
-        coupling_largedelta_lossy(1.0, 0.0806), math.exp(-0.1612), rel_tol=1e-12
+        lossy_coupling_report(1.0, 0.0806).squared, math.exp(-0.1612), rel_tol=1e-12
     )
-    assert abs(coupling_largedelta_lossy(1.0, 0.0806) - 0.8513) <= 1e-3
-    assert abs(coupling_largedelta_lossy(1.0, 0.08) - 0.8521) <= 1e-4
-    assert coupling_largedelta_lossy(2.5, 0.0) == 2.5
+    assert abs(lossy_coupling_report(1.0, 0.0806).squared - 0.8513) <= 1e-3
+    assert abs(lossy_coupling_report(1.0, 0.08).squared - 0.8521) <= 1e-4
+    assert lossy_coupling_report(2.5, 0.0).squared == 2.5
     with pytest.raises(NegativeLoss):
-        coupling_largedelta_lossy(1.0, -0.1)
+        lossy_coupling_report(1.0, -0.1)
 
 
 @pytest.mark.parametrize("gamma_f", [math.inf, math.nan])
 def test_largedelta_lossy_refuses_a_non_finite_exponent(gamma_f):
     with pytest.raises(OutOfRange, match="finite"):
-        coupling_largedelta_lossy(1.0, gamma_f)
+        lossy_coupling_report(1.0, gamma_f)
+    # and a coupling that is not finite
+    with pytest.raises(OutOfRange, match="finite"):
+        lossy_coupling_report(gamma_f, 0.0806)
 
 
 def test_denominator_gamma_zero():
