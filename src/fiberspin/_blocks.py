@@ -6,23 +6,26 @@ built once, on that first import.
 
 A Formatter renders rows _PASS_ROWS at a time, on whole arrays of uint32
 lanes, with Python work only for the rare fallback cells below. It owns
-every array a pass works in and the buffer its text lands in: they are
-made once, when the Formatter is, sized for one pass of its ncols
-columns, and each step of a pass writes into them with out=, the first
-step taking the caller's columns straight into them. Per pass,
-only the index of the kept bytes (from nonzero) and the index lists of
-rare cells are allocated, and glibc serves them from the heap the first
-pass grew.
-A run that made its arrays afresh every pass would have glibc trim the
-freed heap and the next pass fault it back in: a 10^6-row `evolve --out`
-took 32,000 to 34,000 minor page faults that way, and takes about 5,800
-so, of which about 4,900 are the interpreter's and numpy's start.
+every array a pass works in: they are made once, when the Formatter is,
+sized for one pass of its ncols columns, and values of a pass that are
+never live at once share one, 95 bytes a cell in all. Each step of a
+pass writes into them with out=, the first step taking the caller's
+columns straight into them. The cells' lanes are a bytearray that numpy
+views, and one bytearray.translate of it drops their pad bytes: that
+copy is the pass's text, a bytearray of its own. So a pass allocates
+only its text and the index lists of rare cells, and glibc serves them
+from the heap the first pass grew. A run that made its arrays afresh
+every pass would have glibc trim the freed heap and the next pass fault
+it back in: a 10^6-row `evolve --out` took 32,000 to 34,000 minor page
+faults that way, and takes about 5,100 so, of which about 4,900 are the
+interpreter's and numpy's start. A text need not outlive its write:
+holding each one until the next existed took as many faults.
 
-Each cell gets a _FIELD-byte field whose pad (zero) bytes one boolean
-compress drops at the end of the pass. Per cell, d is fmt9's digit
-count, from numpy's log10 rechecked with math.log10 near integers, and
-q = rint(y), y = |x| 10**d, is the integer whose digits are printed. q
-with a 0 inserted at place d is cut into 4-digit groups, looked up in
+Each cell gets a _FIELD-byte field whose pad (zero) bytes that translate
+drops at the end of the pass. Per cell, d is fmt9's digit count, from
+numpy's log10 rechecked with math.log10 near integers, and q = rint(y),
+y = |x| 10**d, is the integer whose digits are printed. q with a 0
+inserted at place d is cut into 4-digit groups, looked up in
 _DIGIT_LANES, and the _POINT_PATTERNS of d add the zeros that a value
 below 1 needs and turn the inserted 0 into the point.
 
@@ -47,8 +50,8 @@ import numpy as np
 from . import cli
 from .errors import OutOfRange
 
-#: rows a Formatter renders per pass; its arrays take about 0.2 kB a cell,
-#: 1.6 MB for two columns
+#: rows a Formatter renders per pass; its arrays take 95 bytes a cell,
+#: 0.78 MB for two columns
 _PASS_ROWS = 4096
 
 #: a cell's field: byte 0 opens it (sep, or LF before a row's first cell),
@@ -108,23 +111,28 @@ class Formatter:
     One Formatter serves one run: its work arrays are made here, once, for
     a pass of _PASS_ROWS rows, and every pass reuses them. stream() gives
     the text of consecutive blocks of columns as if they were one table:
-    block() yields each pass's bytes as a view into the Formatter's own
-    text buffer, valid until the next one is drawn, so each must be
-    written (or copied) before the iterator goes on.
+    block() yields each pass's bytes as a bytearray of its own, which
+    stays valid however far the iterator goes on.
     """
 
     def __init__(self, ncols: int, sep: str):
         if len(sep) != 1 or not sep.isascii() or sep == "\0":
             raise ValueError(f"separator must be one ASCII character other than NUL, not {sep!r}")
         n = _PASS_ROWS * ncols
-        self._floats = np.empty((9, n))
-        self._ints = np.empty((4, n), dtype=np.int64)
+        # one row per float a pass holds live at once: x; |x|, then y = |x| 10**d,
+        # then z; log10, then 10**d; t; and q
+        self._floats = np.empty((5, n))
+        # the point lanes take the other float rows' bytes: they are taken once z
+        # is in rest, when only x of the floats is live
+        self._point = self._floats[1:].view(_LANE).reshape(-1)[: n * (_FIELD // 4)].reshape(n, _FIELD // 4)
+        # d, then a digit group's index; rest and up, z's digits still to group
+        self._ints = np.empty((3, n), dtype=np.int64)
+        # sci, then fallback; b; and near, a log10 close to an integer
         self._flags = np.empty((3, n), dtype=bool)
         self._lane = np.empty(n, dtype=_LANE)
-        self._cells = np.empty((n, _FIELD // 4), dtype=_LANE)
-        self._point = np.empty((n, _FIELD // 4), dtype=_LANE)
-        self._keep = np.empty(n * _FIELD, dtype=bool)
-        self._text = np.empty(n * _FIELD, dtype=np.uint8)
+        # the cells' lanes live in a bytearray, whose translate drops the pad bytes
+        self._raw = bytearray(n * _FIELD)
+        self._cells = np.frombuffer(self._raw, dtype=_LANE).reshape(n, _FIELD // 4)
         # the LF that ends a row opens the next one: the stream's first LF is
         # a pad until a row is out, and stream() adds a last one
         opener = np.full(ncols, ord(sep), dtype=_LANE)
@@ -133,7 +141,7 @@ class Formatter:
         self._opener[:1] = 0
         self._opened = False
 
-    def stream(self, blocks: Iterable) -> Iterator[memoryview | bytes]:
+    def stream(self, blocks: Iterable) -> Iterator[bytes | bytearray]:
         """The LF-terminated lines of the blocks' rows joined, one pass at a time.
 
         chain lets go of a block before it draws the next, so a block's
@@ -143,7 +151,7 @@ class Formatter:
         if self._opened:
             yield b"\n"
 
-    def block(self, columns) -> Iterator[memoryview]:
+    def block(self, columns) -> Iterator[bytearray]:
         """The rows of equal-length columns, a pass's bytes at a time; non-finite values raise OutOfRange."""
         columns = [np.asarray(c, dtype=np.float64) for c in columns]
         if not all(np.all(np.isfinite(c)) for c in columns):
@@ -151,13 +159,13 @@ class Formatter:
         for i in range(0, max(map(len, columns), default=0), _PASS_ROWS):
             yield self._pass([c[i : i + _PASS_ROWS] for c in columns])
 
-    def _pass(self, columns: list[np.ndarray]) -> memoryview:
-        """The text of the rows of the columns, each line LF-opened, in the text buffer."""
+    def _pass(self, columns: list[np.ndarray]) -> bytearray:
+        """The text of the rows of the columns, each line LF-opened."""
         rows, ncols = len(columns[0]), len(columns)
         n = rows * ncols
-        x, mag, safe, lg, t, scale, y, q, z = self._floats[:, :n]
-        d, rest, up, idx = self._ints[:, :n]
-        sci, b, fallback = self._flags[:, :n]
+        x, mag, lg, t, q = self._floats[:, :n]
+        d, rest, up = self._ints[:, :n]
+        sci, b, near = self._flags[:, :n]
         lane, cells, point = self._lane[:n], self._cells[:n], self._point[:n]
         # the columns' cells in row order; -0.0 + 0.0 is +0.0, which prints
         # unsigned like fmt9's zero
@@ -175,45 +183,50 @@ class Formatter:
         # so their digit count is fmt9's 8
         np.equal(mag, 0.0, out=b)
         np.logical_or(b, sci, out=b)
-        np.copyto(safe, mag)
-        np.copyto(safe, 1.0, where=b)
-        np.log10(safe, out=lg)
+        np.copyto(lg, mag)
+        np.copyto(lg, 1.0, where=b)
+        np.log10(lg, out=lg)
         # near an exact power of ten numpy's log10 may round to the other side of
         # the integer than math.log10, which fmt9 uses
         np.rint(lg, out=t)
         np.subtract(lg, t, out=t)
         np.abs(t, out=t)
-        np.less(t, 1e-9, out=b)
-        for i in np.flatnonzero(b).tolist():
-            lg[i] = math.log10(safe[i])
+        np.less(t, 1e-9, out=near)
+        for i in np.flatnonzero(near).tolist():
+            lg[i] = 0.0 if b[i] else math.log10(mag[i])
         # fixed-form values lie in [1e-8, 1e12), so d never reaches fmt9's cap of 20
         np.floor(lg, out=t)
         np.subtract(8.0, t, out=t)
         np.clip(t, 0.0, 16.0, out=t)
         np.copyto(d, t, casting="unsafe")
+        scale = lg
         np.take(_POW10, d, out=scale, mode="clip")
         # y = |x| 10**d, and 0 for scientific cells
-        np.copyto(y, mag)
+        y = mag
         np.copyto(y, 0.0, where=sci)
         np.multiply(y, scale, out=y)
         np.rint(y, out=q)
         np.subtract(y, q, out=t)
         np.abs(t, out=t)
-        np.greater(t, 0.5 - 1e-6, out=fallback)
-        np.logical_or(fallback, sci, out=fallback)
+        fallback = sci
+        np.greater(t, 0.5 - 1e-6, out=b)
+        np.logical_or(fallback, b, out=fallback)
         # z = q + 9 10**d floor(q / 10**d): q with a 0 digit inserted at place d,
         # below 10**14 and exact in float64
         np.divide(q, scale, out=t)
         np.floor(t, out=t)
+        z = y
         np.multiply(scale, 9.0, out=z)
         np.multiply(z, t, out=z)
         np.add(q, z, out=z)
+        np.copyto(rest, z, casting="unsafe")
         # the zeros lanes, then lanes 4 to 1 ORed with z's 4-digit groups from the
         # last, a group's leading zeros turning to pads once nothing is left above
-        # it, and lane 0 with the opener and the sign
+        # it (so the groups above the highest nonzero one are skipped), and lane 0
+        # with the opener and the sign
         np.take(_POINT_PATTERNS[0], d, axis=0, out=cells, mode="clip")
         np.take(_POINT_PATTERNS[1], d, axis=0, out=point, mode="clip")
-        np.copyto(rest, z, casting="unsafe")
+        idx = d
         for k in (4, 3, 2, 1):
             np.floor_divide(rest, 10_000, out=up)
             np.multiply(up, 10_000, out=idx)
@@ -223,6 +236,8 @@ class Formatter:
             np.take(_DIGIT_LANES, idx, out=lane, mode="clip")
             np.bitwise_or(cells[:, k], lane, out=cells[:, k])
             rest, up = up, rest
+            if b.all():
+                break
         np.less(x, 0.0, out=b)
         np.multiply(b, _MINUS, out=lane)
         np.bitwise_or(lane, self._opener[:n], out=lane)
@@ -234,15 +249,8 @@ class Formatter:
             where = np.flatnonzero(fallback)
             texts = b"".join(cli.fmt9(x[i]).encode("ascii").rjust(_FIELD - 1, b"\0") for i in where.tolist())
             raw[where, 1:] = np.frombuffer(texts, dtype=np.uint8).reshape(where.size, _FIELD - 1)
-        raw = raw.reshape(-1)
-        keep = self._keep[: raw.size]
-        np.not_equal(raw, 0, out=keep)
-        # np.compress(keep, raw, out=text) in two steps: its take would copy
-        # through a temporary out, as it checks the indices that nonzero made
-        kept = keep.nonzero()[0]
-        text = self._text[: kept.size]
-        np.take(raw, kept, out=text, mode="clip")
+        # a short pass leaves pads past its cells
+        self._cells[n:] = 0
         self._opener[0] = ord("\n")
         self._opened = True
-        return memoryview(text)
-
+        return self._raw.translate(None, b"\0")

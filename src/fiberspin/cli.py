@@ -18,12 +18,12 @@ numpy, 4,096 rows a pass: each cell's digits come from one correctly
 rounded integer, laid out in a fixed-width byte field whose pad bytes
 are dropped at the end, and the rare cell that the integer cannot be
 trusted for (a scientific form, or a value within 1e-6 of a rounding
-tie) gets fmt9's own text. The Formatter's work arrays and text buffer
-are made once per run, and each block's tau and E columns go straight
-into them, so the heap does not churn from block to block. _emit writes
-every subcommand's rows as bytes, to the --out file or to
-sys.stdout.buffer, and says what must run before it so that a refused
-run writes nothing.
+tie) gets fmt9's own text. The Formatter's work arrays are made once
+per run, each block's tau and E columns go straight into them, and each
+pass's text is one bytearray.translate of its cells, so the heap does
+not churn from block to block. _emit writes every subcommand's rows as
+bytes, to the --out file or to sys.stdout.buffer, and says what must
+run before it so that a refused run writes nothing.
 
 At load this module imports only _seed, errors and feasibility, none of
 which imports numpy. Everything else is imported where it is first used:
@@ -149,8 +149,7 @@ def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None) ->
 
     A row is a tuple of strings, rendered here and encoded as UTF-8, or a
     bytes-like object of text already rendered, written as it is; so a
-    table drawn block by block is never held whole, and a view into a
-    buffer that the next row reuses is written before that row is drawn.
+    table drawn block by block is never held whole.
     A tuple is rendered as a CSV record in csv mode and as space-joined
     columns in text mode.
 
@@ -173,8 +172,8 @@ def _emit(rows: Iterable[tuple[str, ...] | bytes], fmt: str, out: str | None) ->
         text = csv_line(row) if fmt == "csv" else " ".join(row) + "\n"
         return text.encode("utf-8")
 
-    # writelines drops each row before it draws the next, so a block's text
-    # is freed, or its buffer free to reuse, before the next block is made
+    # writelines drops each row before it draws the next, so a pass's text
+    # is freed before the next one is made
     chunks = map(line, rows)
     created = written = False
     try:

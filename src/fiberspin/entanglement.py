@@ -322,6 +322,18 @@ def tau_star(
     alone. Every E compared or returned comes from those calls, so the
     result does not depend on the BLAS. Memory is one chunk of kernel
     blocks plus one float per block.
+
+    The threshold is e_max - tolerance, and e_max is the window's own
+    maximum, so tau_star can move by one grid step with the window even
+    where the window is long enough to come near the supremum E = 1: a
+    longer window may hold a higher e_max, whose threshold a grid point
+    near the first crossing no longer meets. At eta = 0.2 with the default
+    step and tolerance, E(36.74) = 0.989985. Windows 200 and 1,000 reach
+    e_max = 0.999842 and 0.999899, so their thresholds are below it and
+    tau_star is 36.74; a window of 10^4 reaches 0.99999998, its threshold
+    0.98999998 is above it, and tau_star is 36.75. Measuring against the
+    supremum would remove that dependence but change printed tau_star
+    values.
     """
     if not isinstance(tolerance, (int, float)) or not math.isfinite(tolerance) or tolerance < 0.0:
         raise OutOfRange(f"tolerance must be >= 0, got {tolerance!r}")

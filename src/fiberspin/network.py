@@ -170,15 +170,23 @@ def _hop21(p: NetworkParams):
     return _parts_of(p.gamma).expcis(-p.gamma_f, p.phi21)
 
 
+def _loop(p: NetworkParams):
+    # round-trip factor exp(i(phi12+phi21) - 2*gamma_f)
+    return _parts_of(p.gamma).expcis(-2.0 * p.gamma_f, p.phi12 + p.phi21)
+
+
+def _denominator(gamma, delta, loop):
+    """The parts of D for rates gamma and delta and the parts of the round-trip factor."""
+    mu = (gamma, delta)
+    return _sub(_mul(mu, mu), _mul((gamma * gamma, 0.0), loop))
+
+
 def denominator(p: NetworkParams) -> complex:
     """Steady-state denominator D = (gamma+i*delta)^2 - gamma^2*exp(i(phi12+phi21) - 2*gamma_f).
 
     A complex for one parameter set, a complex array for a stack.
     """
-    ops = _parts_of(p.gamma)
-    mu = (p.gamma, p.delta)
-    loop = ops.expcis(-2.0 * p.gamma_f, p.phi12 + p.phi21)
-    return ops.pack(*_sub(_mul(mu, mu), _mul((p.gamma * p.gamma, 0.0), loop)))
+    return _parts_of(p.gamma).pack(*_denominator(p.gamma, p.delta, _loop(p)))
 
 
 def _one_set(x, i: int):
@@ -226,7 +234,9 @@ def steady_fields(p: NetworkParams) -> SteadyFields:
 
     Raises OutOfRange when a part of D or gamma^2+delta^2 leaves the
     float range, ResonantRecycling when |D| <= 1e-9*(gamma^2+delta^2), the
-    neighborhood of the recycling resonance where the fields diverge, and
+    neighborhood of the recycling resonance where the fields diverge,
+    decided on power-of-two-scaled rates so that an underflow does not
+    read as it, OutOfRange when D underflows to 0 off the resonance, and
     OutOfRange when a part of alpha or beta leaves the float range.
     """
     return _per_set(_steady_fields, p)
@@ -250,17 +260,32 @@ def _steady(p: NetworkParams, d, hop21):
 
 
 def _require_off_resonance(p: NetworkParams, d) -> None:
-    """Refuse the parts d of D before anything divides by it: OutOfRange, then ResonantRecycling."""
+    """Refuse the parts d of D before anything divides by them: OutOfRange, then ResonantRecycling, then OutOfRange.
+
+    The resonance is decided on D and gamma^2+delta^2 recomputed from
+    gamma and delta scaled by 2**-e, e the binary exponent of the larger.
+    Both are of degree 2 in gamma and delta, and a power-of-two scale is
+    exact in the normal range, so wherever the unscaled values do not
+    underflow the decision is theirs; where gamma^2 and delta^2 underflow,
+    and every term of D with them, the scaled values still tell the
+    resonance from a D that is merely small. A D that underflowed to 0
+    all the same is refused as out of range.
+    """
     ops = _parts_of(p.gamma)
     scale = p.gamma * p.gamma + p.delta * p.delta
     # past the float range |D| and its threshold are both inf: an overflow, not the resonance
     _require_finite(ops, [*_parts_named(denominator=d), ("gamma^2+delta^2", scale)])
+    gamma, delta = ops.ldexp((p.gamma, p.delta), -ops.exponent(p.gamma, p.delta))
     d_mod = ops.mod(d)
-    if ops.fails(d_mod <= EPS_SINGULAR * scale):
+    if ops.fails(ops.mod(_denominator(gamma, delta, _loop(p))) <= EPS_SINGULAR * (gamma * gamma + delta * delta)):
         raise ResonantRecycling(
             f"steady-state denominator |D| = {d_mod:.3e} <= {EPS_SINGULAR:.0e}*(gamma^2+delta^2)"
             f" = {EPS_SINGULAR * scale:.3e}; drive recycles resonantly as delta -> 0 with"
             f" phi12+phi21 -> 0 (mod 2*pi)"
+        )
+    if ops.fails(d_mod == 0.0):
+        raise OutOfRange(
+            f"steady-state denominator D underflows to 0 at gamma^2+delta^2 = {scale:.3e}, off the resonance"
         )
 
 
@@ -370,10 +395,10 @@ def theta_variants(p: NetworkParams, s: SteadyFields) -> tuple[float, float]:
     between them is assumed; they coincide only on the symmetric
     manifold (see module docstring).
 
-    Refuses D as steady_fields does, with OutOfRange or ResonantRecycling,
-    before it divides by D. Raises OutOfRange naming theta1 or theta2
-    when it leaves the float range; a stack raises what its first
-    failing set raises alone.
+    Refuses D as steady_fields does, with OutOfRange, ResonantRecycling
+    or, for a D that underflows to 0, OutOfRange, before it divides by D.
+    Raises OutOfRange naming theta1 or theta2 when it leaves the float
+    range; a stack raises what its first failing set raises alone.
     """
     return _per_set(_theta_variants, p, s)
 

@@ -21,6 +21,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +42,7 @@ from fiberspin import (
 )
 from fiberspin import cli as cli_module
 from fiberspin.entanglement import _BLOCK_ROWS
+from fiberspin.network import EPS_SINGULAR
 from fiberspin import _blocks, errors
 from fiberspin._blocks import _PASS_ROWS
 from fiberspin.cli import (
@@ -267,6 +269,44 @@ def test_fmt9_block_memory_stays_small():
     assert peak <= _TEMPLATE_PEAK
 
 
+#: most bytes that streaming a 10^5-row table through a warmed Formatter(2, ",")
+#: may add at its peak. A pass holds its text and the last pass's, 160 KiB
+#: each. Measured (CPython 3.11, numpy 2.4): 0.318 MiB; 0.729 MiB when each
+#: pass built an int64 index of its kept bytes to compact them
+_STREAM_PEAK = 0.45 * 2**20
+
+
+def _table_columns(rows):
+    """A tau column of step 0.01 and a seeded column of values in [0, 1)."""
+    return [np.arange(rows) * 0.01, np.random.default_rng(rows).random(rows)]
+
+
+def test_formatter_streams_in_about_two_passes_of_text():
+    columns = _table_columns(100_000)
+    formatter = _blocks.Formatter(2, ",")
+    for _ in formatter.block([c[:_PASS_ROWS] for c in columns]):
+        pass
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in formatter.stream([columns]):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= _STREAM_PEAK, peak
+
+
+def test_formatter_passes_stay_valid_after_the_next():
+    # each pass's text is its own, so collecting them before writing any gives
+    # the bytes written as each is drawn
+    columns = _table_columns(3 * _PASS_ROWS + 5)
+    written = b"".join(bytes(part) for part in _blocks.Formatter(2, ",").stream([columns]))
+    collected = list(_blocks.Formatter(2, ",").stream([columns]))
+    assert b"".join(collected) == written
+    assert written.decode("ascii") == _fmt9_lines(np.column_stack(columns), ",")
+
+
 def test_evolve_streams_blocks_byte_identical(cli, tmp_path):
     # 150,001 rows: nine full 16,384-row blocks and a partial tenth
     trace = entanglement_trace(0.1, 1500.0, 0.01)
@@ -384,8 +424,10 @@ def test_evolve_never_holds_the_whole_grid(monkeypatch, tmp_path):
 
 
 #: most minor page faults a child `evolve --out` may add from 10^5 to 4 * 10^5
-#: rows. Measured on Linux (glibc, numpy 2.4): 0-1 with the formatter's arrays
-#: made once per run; about 8,800 when every pass makes its arrays afresh and
+#: rows. Measured on Linux (glibc, numpy 2.4): 0-6 with the formatter's arrays
+#: made once per run and each pass's text a bytearray of its own, as it was
+#: (1-5) when each pass compacted its text through an index of its kept bytes
+#: into a buffer made once; about 8,800 when every pass makes its arrays afresh and
 #: every block is joined into one text, as glibc trims the freed heap and the
 #: next pass faults it back in; about 1,650 when only the float work arrays
 #: are made afresh each pass
@@ -1366,10 +1408,11 @@ _SCALAR_RUNS = st.sampled_from(["steady", "coupling", "feasibility"]).flatmap(
 @given(_SCALAR_RUNS)
 @example(("steady", {"gamma": 0.5, "delta": 0.0, "phi12": math.pi / 2, "phi21": 0.0, "drive_re": 1.4e308}))
 @example(("coupling", {"chi": 1e308, "drive_re": 1.0}))
+# gamma^2 and delta^2 underflow, and every term of D with them, off the resonance
+@example(("steady", {"gamma": 1e-170, "delta": 1e-170, "drive_re": 1e-170}))
+@example(("steady", {"gamma": 1e-170, "delta": 1e-170, "phi12": 1.0, "phi21": 1.0}))
 @settings(max_examples=300, deadline=None)
 def test_a_scalar_run_prints_finite_values_or_one_typed_refusal(run):
-    # exit 2 is not checked against a recomputed |D| here: an underflowed
-    # gamma^2 + delta^2 still reads as the resonance
     command, values = run
     argv = [command, *(f"--{name.replace('_', '-')}={value!r}" for name, value in values.items())]
     out, err = io.StringIO(), io.StringIO()
@@ -1386,6 +1429,14 @@ def test_a_scalar_run_prints_finite_values_or_one_typed_refusal(run):
         refusal = re.fullmatch(r"error: ([a-z-]+): [^\n]+\n", err)
         assert refusal, err
         assert _CLASS_OF_CODE[refusal[1]].exit_code == code, err
+    if code == 2:
+        # the resonance only where the exact |D| of the set run lies within it
+        p = cli_module._network_params(build_parser().parse_args(argv))
+        with mpmath.workdps(50):
+            gamma, delta = mpmath.mpf(p.gamma), mpmath.mpf(p.delta)
+            loop = mpmath.exp(mpmath.mpc(-2 * mpmath.mpf(p.gamma_f), mpmath.mpf(p.phi12) + mpmath.mpf(p.phi21)))
+            d = mpmath.mpc(gamma, delta) ** 2 - gamma**2 * loop
+            assert abs(d) <= mpmath.mpf(EPS_SINGULAR) * (gamma**2 + delta**2), (argv, err)
 
 
 #: the raises in src/fiberspin that name a class outside FiberspinError, by
